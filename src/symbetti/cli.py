@@ -30,7 +30,9 @@ from .ideals import (
 )
 from .stability import (
     AsymptoticProfile,
+    CompactDegree,
     CompactRecord,
+    ConsistencyError,
     SegmentSet,
     SizeCapError,
     asymptotics,
@@ -123,16 +125,6 @@ def render_ideal(ideal: SymmetricIdeal) -> dict:
     return payload
 
 
-def degree_runs(degree) -> list[list[int]]:
-    runs: list[list[int]] = []
-    for v in degree:
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
-
-
 def degree_from_runs(runs) -> tuple[int, ...]:
     out: list[int] = []
     for v, count in runs:
@@ -141,15 +133,11 @@ def degree_from_runs(runs) -> tuple[int, ...]:
 
 
 def record_payload(record, n: int) -> dict:
-    if isinstance(record, CompactRecord):
-        runs = record.degree.runs()
-        entry = {"i": record.i, "rank": record.rank, "degree_rle": runs}
-        if n <= DEGREE_LIST_LIMIT:
-            entry["degree"] = list(record.degree.expand())
-    else:
-        entry = {"i": record.i, "rank": record.rank, "degree_rle": degree_runs(record.degree)}
-        if n <= DEGREE_LIST_LIMIT:
-            entry["degree"] = list(record.degree)
+    compact = (record.degree if isinstance(record, CompactRecord)
+               else CompactDegree.from_vector(record.degree))
+    entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
+    if n <= DEGREE_LIST_LIMIT:
+        entry["degree"] = list(compact.expand())
     return entry
 
 
@@ -265,8 +253,8 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
         report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels,
                                        processes=args.parallel)
         if not report.passed:
-            raise AssertionError("composed positions disagree with direct computation: "
-                                 + "; ".join(report.counterexamples))
+            raise ConsistencyError("composed positions disagree with direct computation",
+                                   report.counterexamples)
         if report.notes:
             carry_ranks = False
             warnings = list(report.notes)
@@ -314,8 +302,6 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
 
 
 def _compact_padded(degree: tuple[int, ...], n: int):
-    from .stability import CompactDegree
-
     return CompactDegree(degree, 0, 0, n - len(degree))
 
 
@@ -520,6 +506,11 @@ def main(argv=None, out=None) -> int:
     except (ComplexTooLargeError, GeneratorCapError, SizeCapError) as exc:
         print(f"error[size-cap]: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except ConsistencyError as exc:
+        print(f"error[verification]: {exc}", file=sys.stderr)
+        for line in exc.counterexamples:
+            print(f"  counterexample: {line}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ZeroIdealError, ValueError) as exc:
         print(f"error[invalid-input]: {exc}", file=sys.stderr)
         return EXIT_INPUT

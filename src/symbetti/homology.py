@@ -1,16 +1,20 @@
 """Exact reduced simplicial homology over the rationals and prime fields.
 
 Complexes live on a small ground set and store their faces as bitmasks.
-All linear algebra is exact: fraction-free integer elimination in
-characteristic zero, modular elimination otherwise.  No floating point is
-used anywhere, so ranks (and hence homology dimensions) are never corrupted
-by overflow or round-off.
+A graded basis (degree -> sorted bitmasks) defines a chain complex through
+one boundary builder, and one homology routine ranks its matrices with one
+exact Gaussian elimination: integer unit pivots with a Fraction fallback in
+characteristic zero, residues mod p otherwise.  The face poset of a complex
+and the generator-subset strands of the oracle (`taylor.strand_basis`) both
+go through it.  No floating point is used anywhere, so ranks (and hence
+homology dimensions) are never corrupted by overflow or round-off.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 DEFAULT_VERTEX_CAP = 14
@@ -93,6 +97,8 @@ class SimplicialComplex:
                 f"{self.vertex_count} vertices exceeds the hard cap of {HARD_VERTEX_CAP}"
             )
         object.__setattr__(self, "faces", frozenset(self.faces))
+        if not self.is_downward_closed():
+            raise ValueError("complex is not downward closed")
 
     @classmethod
     def from_faces(cls, vertex_count: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
@@ -139,7 +145,7 @@ class SimplicialComplex:
 
 
 def faces_by_dim(cx: SimplicialComplex) -> dict[int, list[int]]:
-    """Faces grouped by dimension (cardinality minus one), each group sorted."""
+    """Graded basis of the complex: faces keyed by dimension (size minus one), sorted."""
     out: dict[int, list[int]] = {}
     for f in cx.faces:
         out.setdefault(f.bit_count() - 1, []).append(f)
@@ -148,83 +154,84 @@ def faces_by_dim(cx: SimplicialComplex) -> dict[int, list[int]]:
     return out
 
 
-def boundary_matrices(cx: SimplicialComplex) -> dict[int, list[list[int]]]:
-    """Integer boundary matrices of the augmented chain complex.
+def boundary_matrix(basis: dict[int, list[int]], d: int) -> list[list[int]]:
+    """Integer matrix of the boundary from degree d to degree d - 1 of a graded basis.
 
-    Entry i maps i-chains to (i-1)-chains; rows are indexed by the sorted
-    (i-1)-faces and columns by the sorted i-faces.  Signs follow the usual
-    convention for faces listed with vertices in increasing order: dropping
-    the vertex in position j contributes (-1)**j.
+    A basis maps each degree to a sorted list of bitmasks; rows are indexed by
+    basis[d - 1] and columns by basis[d].  Dropping the j-th lowest set bit of
+    a column contributes (-1)**j, and terms outside basis[d - 1] are left out.
+    For the faces of a simplicial complex this is the usual boundary; for a
+    convex family of generator subsets it keeps exactly the terms whose lcm is
+    unchanged.
     """
-    by_dim = faces_by_dim(cx)
-    index = {d: {m: k for k, m in enumerate(group)} for d, group in by_dim.items()}
-    mats: dict[int, list[list[int]]] = {}
-    for d, group in sorted(by_dim.items()):
-        if d < 0:
-            continue
-        lower = index.get(d - 1)
-        if lower is None:
-            raise ValueError("complex is not downward closed")
-        rows = [[0] * len(group) for _ in range(len(lower))]
-        for col, mask in enumerate(group):
-            sign = 1
-            bits = mask
-            while bits:
-                low = bits & -bits
-                row = lower.get(mask ^ low)
-                if row is None:
-                    raise ValueError("complex is not downward closed")
+    lower = {m: k for k, m in enumerate(basis.get(d - 1, ()))}
+    group = basis[d]
+    rows = [[0] * len(group) for _ in range(len(lower))]
+    for col, mask in enumerate(group):
+        sign = 1
+        bits = mask
+        while bits:
+            low = bits & -bits
+            row = lower.get(mask ^ low)
+            if row is not None:
                 rows[row][col] = sign
-                sign = -sign
-                bits ^= low
-        mats[d] = rows
-    return mats
+            sign = -sign
+            bits ^= low
+    return rows
+
+
+def boundary_matrices(basis: dict[int, list[int]]) -> dict[int, list[list[int]]]:
+    """Every boundary matrix of a graded basis, keyed by its source degree."""
+    return {d: boundary_matrix(basis, d) for d in sorted(basis) if d - 1 in basis}
 
 
 def rank_over_field(matrix: list[list[int]], field=0) -> int:
-    """Exact rank of an integer matrix over Q (characteristic 0) or F_p."""
+    """Exact rank of an integer matrix over Q (characteristic 0) or F_p.
+
+    One Gaussian elimination serves every field.  Over F_p the entries are
+    reduced mod p and any nonzero pivot is a unit.  Over Q a +-1 pivot is
+    preferred, which keeps boundary-style matrices integral; only when a
+    column has none left is the pivot inverted as a Fraction.  Each pivot step
+    touches only the pivot row's nonzero columns, since boundary matrices are
+    sparse.
+    """
     p = _char_of(field)
     if not matrix or not matrix[0]:
         return 0
-    if p:
-        return _rank_mod_p(matrix, p)
-    return _rank_char0([list(row) for row in matrix])
-
-
-def _rank_char0(m: list[list[int]]) -> int:
-    # Integer elimination preferring unit pivots: a +-1 pivot needs no
-    # division, keeps everything integral, and lets rows with a zero in the
-    # pivot column be skipped, which preserves sparsity.  Boundary-style
-    # matrices have unit entries throughout, so the fraction-free fallback
-    # below is only reached on small dense cores.
+    m = [[x % p for x in row] for row in matrix] if p else [list(row) for row in matrix]
     n_rows, n_cols = len(m), len(m[0])
     rank = 0
     for col in range(n_cols):
-        unit = None
-        nonzero = None
+        pivot_row = None
         for r in range(rank, n_rows):
             v = m[r][col]
             if v:
-                if v == 1 or v == -1:
-                    unit = r
+                if p or v == 1 or v == -1:
+                    pivot_row = r
                     break
-                if nonzero is None:
-                    nonzero = r
-        if unit is None:
-            if nonzero is None:
-                continue
-            sub = [row[col:] for row in m[rank:]]
-            return rank + _bareiss_rank(sub)
-        m[rank], m[unit] = m[unit], m[rank]
+                if pivot_row is None:
+                    pivot_row = r
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
         top = m[rank]
         pivot = top[col]
+        if p:
+            inv = pow(pivot, -1, p)
+        else:
+            # a +-1 pivot is its own inverse, so the row stays integral
+            inv = pivot if pivot in (1, -1) else Fraction(1, pivot)
+        support = [c for c in range(col + 1, n_cols) if top[c]]
         for r in range(rank + 1, n_rows):
             row = m[r]
             v = row[col]
             if v:
-                factor = v * pivot
-                for c in range(col, n_cols):
-                    if top[c]:
+                factor = v * inv
+                if p:
+                    for c in support:
+                        row[c] = (row[c] - factor * top[c]) % p
+                else:
+                    for c in support:
                         row[c] -= factor * top[c]
         rank += 1
         if rank == n_rows:
@@ -232,54 +239,20 @@ def _rank_char0(m: list[list[int]]) -> int:
     return rank
 
 
-def _bareiss_rank(m: list[list[int]]) -> int:
-    # Bareiss one-step elimination: every intermediate entry is a minor of the
-    # input, so all divisions below are exact and everything stays an integer.
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        top = m[rank]
-        for r in range(rank + 1, n_rows):
-            row = m[r]
-            factor = row[col]
-            for c in range(col, n_cols):
-                row[c] = (pivot * row[c] - factor * top[c]) // prev
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+def chain_homology(basis: dict[int, list[int]], field=0) -> dict[int, int]:
+    """Dimensions of the nonzero homology groups of the chain complex on a graded basis.
 
-
-def _rank_mod_p(matrix: list[list[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in matrix]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        top = m[rank]
-        inv = pow(top[col], -1, p)
-        for c in range(col, n_cols):
-            top[c] = top[c] * inv % p
-        for r in range(rank + 1, n_rows):
-            row = m[r]
-            factor = row[col]
-            if factor:
-                for c in range(col, n_cols):
-                    row[c] = (row[c] - factor * top[c]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    The differential is `boundary_matrix`; matrices are built and ranked one
+    at a time, so at most one is held in memory.
+    """
+    ranks = {d: rank_over_field(boundary_matrix(basis, d), field)
+             for d in sorted(basis) if d - 1 in basis}
+    dims = {}
+    for d in sorted(basis):
+        h = len(basis[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        if h:
+            dims[d] = h
+    return dims
 
 
 def reduced_homology_dims(cx: SimplicialComplex, field=0) -> dict[int, int]:
@@ -297,18 +270,7 @@ def reduced_homology_dims(cx: SimplicialComplex, field=0) -> dict[int, int]:
             " (raise SYMBETTI_MAX_VERTICES, hard max "
             f"{HARD_VERTEX_CAP})"
         )
-    if cx.is_void:
-        return {}
-    by_dim = faces_by_dim(cx)
-    top = max(by_dim)
-    mats = boundary_matrices(cx)
-    ranks = {d: rank_over_field(mat, field) for d, mat in mats.items()}
-    dims = {}
-    for d in range(-1, top + 1):
-        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if h:
-            dims[d] = h
-    return dims
+    return chain_homology(faces_by_dim(cx), field)
 
 
 def euler_characteristic_check(cx: SimplicialComplex, field=0) -> bool:
@@ -322,7 +284,7 @@ def euler_characteristic_check(cx: SimplicialComplex, field=0) -> bool:
 
 def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
     """Exact integer check that consecutive boundary maps compose to zero."""
-    mats = boundary_matrices(cx)
+    mats = boundary_matrices(faces_by_dim(cx))
     for d in sorted(mats):
         if d + 1 not in mats:
             continue

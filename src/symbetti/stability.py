@@ -21,6 +21,14 @@ class SizeCapError(ValueError):
     """Materializing this many records was refused; use the run-length form."""
 
 
+class ConsistencyError(Exception):
+    """Two derivations of the same result disagree; `counterexamples` lists where."""
+
+    def __init__(self, message: str, counterexamples=()):
+        super().__init__(message)
+        self.counterexamples = tuple(counterexamples)
+
+
 @dataclass(frozen=True, order=True)
 class CompactDegree:
     """A sorted exponent vector stored as prefix + repeated block + zeros.
@@ -270,8 +278,9 @@ def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> Asympto
     slope = w - 1
     max_slope = max(c for (_, _, c) in seg.starts)
     if max_slope != slope:
-        raise AssertionError(
-            f"segment slopes top out at {max_slope}, expected {slope}"
+        raise ConsistencyError(
+            f"segment slopes top out at {max_slope}, expected {slope}",
+            [f"segment start {t}" for t in sorted(seg.starts) if t[2] == max_slope],
         )
     if slope == 0:
         intercept = seg.reg_value(m)

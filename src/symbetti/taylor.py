@@ -11,9 +11,10 @@ falsification power, not speed.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 
-from .homology import rank_over_field
+from .homology import chain_homology
+# not called here, but perfbench/tracer.py wraps symbetti.taylor.rank_over_field
+from .homology import rank_over_field  # noqa: F401
 from .ideals import SymmetricIdeal, restrict_to_n
 
 GENERATOR_CAP = 20
@@ -39,7 +40,7 @@ def expand_generators(ideal: SymmetricIdeal, n: int) -> tuple[tuple[int, ...], .
 
 
 def _subsets_with_lcm(divisors, a):
-    """All subsets of `divisors` (index tuples) whose componentwise max is a.
+    """All nonempty subsets of `divisors` (bitmasks) whose componentwise max is a.
 
     Two prunes keep this linear in the output: a branch is abandoned when the
     remaining elements can no longer raise the running lcm to a, and once the
@@ -52,41 +53,33 @@ def _subsets_with_lcm(divisors, a):
     suffix = [zero] * (count + 1)
     for k in range(count - 1, -1, -1):
         suffix[k] = tuple(map(max, suffix[k + 1], divisors[k]))
-    found: list[tuple[int, ...]] = []
-
-    def emit_tail(idx, chosen):
-        tail = range(idx, count)
-        width = count - idx
-        base = tuple(chosen)
-        if base:
-            found.append(base)
-        for mask in range(1, 1 << width):
-            found.append(base + tuple(idx + j for j in range(width) if mask >> j & 1))
+    found: list[int] = []
 
     def grow(idx, lcm, chosen):
         if lcm == a:
             if len(found) + (1 << (count - idx)) > _STRAND_CAP:
                 raise GeneratorCapError("degree strand is too large to enumerate")
-            emit_tail(idx, chosen)
+            found.extend(chosen | tail << idx for tail in range(1 << (count - idx))
+                         if chosen or tail)
             return
         if tuple(map(max, lcm, suffix[idx])) != a:
             return
         grow(idx + 1, lcm, chosen)
-        chosen.append(idx)
-        grow(idx + 1, tuple(map(max, lcm, divisors[idx])), chosen)
-        chosen.pop()
+        grow(idx + 1, tuple(map(max, lcm, divisors[idx])), chosen | 1 << idx)
 
-    grow(0, zero, [])
+    grow(0, zero, 0)
     return found
 
 
-def taylor_strand_tor(generators, a, characteristic=0) -> dict[int, int]:
-    """Tor ranks at degree a computed from generator subsets, keyed by degree.
+def strand_basis(generators, a) -> dict[int, list[int]]:
+    """Graded basis of the degree-a strand: the subsets whose lcm is a.
 
-    A subset with k elements sits in homological degree k - 1 (the convention
-    for the ideal itself, not its quotient ring, so the output aligns with the
-    Betti numbers of the ideal with no shift).  The differential drops one
-    element at a time and keeps exactly the terms where the lcm is unchanged.
+    A subset is a bitmask over the sorted generators that divide a, keyed by
+    its size minus one (the convention for the ideal itself, not its quotient
+    ring, so homology aligns with the Betti numbers of the ideal with no
+    shift).  The family is convex, so `homology.boundary_matrix` on it drops
+    one element at a time and keeps exactly the terms where the lcm is
+    unchanged.
     """
     a = tuple(a)
     divisors = tuple(sorted(
@@ -97,67 +90,24 @@ def taylor_strand_tor(generators, a, characteristic=0) -> dict[int, int]:
         raise GeneratorCapError(
             f"{len(divisors)} generators divide the degree; the cap is {GENERATOR_CAP}"
         )
-    by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    basis: dict[int, list[int]] = {}
     for s in _subsets_with_lcm(divisors, a):
-        by_size[len(s)].append(s)
-    if not by_size:
-        return {}
-    if max(len(g) for g in by_size.values()) > _MATRIX_CAP:
+        basis.setdefault(s.bit_count() - 1, []).append(s)
+    for group in basis.values():
+        group.sort()
+    return basis
+
+
+def taylor_strand_tor(generators, a, characteristic=0) -> dict[int, int]:
+    """Tor ranks at degree a computed from generator subsets, keyed by degree.
+
+    A subset with k elements sits in homological degree k - 1 (see
+    `strand_basis`); the ranks are the homology of the strand.
+    """
+    basis = strand_basis(generators, a)
+    if basis and max(len(g) for g in basis.values()) > _MATRIX_CAP:
         raise GeneratorCapError("degree strand needs ranks beyond the matrix cap")
-    for group in by_size.values():
-        group.sort()
-    index = {size: {s: k for k, s in enumerate(group)} for size, group in by_size.items()}
-    ranks: dict[int, int] = {}
-    for size in range(2, max(by_size) + 1):
-        cols = by_size.get(size, [])
-        lower = index.get(size - 1, {})
-        if not cols or not lower:
-            continue
-        mat = [[0] * len(cols) for _ in range(len(lower))]
-        for c, s in enumerate(cols):
-            for j in range(len(s)):
-                row = lower.get(s[:j] + s[j + 1:])
-                if row is not None:
-                    mat[row][c] = -1 if j % 2 else 1
-        ranks[size] = rank_over_field(mat, characteristic)
-    out = {}
-    for size, basis in by_size.items():
-        h = len(basis) - ranks.get(size, 0) - ranks.get(size + 1, 0)
-        if h:
-            out[size - 1] = h
-    return out
-
-
-def strand_boundary_matrices(generators, a) -> dict[int, list[list[int]]]:
-    """Integer boundary matrices of the degree-a strand, for consistency checks."""
-    a = tuple(a)
-    divisors = tuple(sorted(
-        g for g in generators
-        if len(g) == len(a) and all(x <= y for x, y in zip(g, a))
-    ))
-    if len(divisors) > GENERATOR_CAP:
-        raise GeneratorCapError(
-            f"{len(divisors)} generators divide the degree; the cap is {GENERATOR_CAP}"
-        )
-    by_size: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for s in _subsets_with_lcm(divisors, a):
-        by_size[len(s)].append(s)
-    for group in by_size.values():
-        group.sort()
-    index = {size: {s: k for k, s in enumerate(group)} for size, group in by_size.items()}
-    mats: dict[int, list[list[int]]] = {}
-    for size in sorted(by_size):
-        if size - 1 not in by_size:
-            continue
-        cols, lower = by_size[size], index[size - 1]
-        mat = [[0] * len(cols) for _ in range(len(lower))]
-        for c, s in enumerate(cols):
-            for j in range(len(s)):
-                row = lower.get(s[:j] + s[j + 1:])
-                if row is not None:
-                    mat[row][c] = -1 if j % 2 else 1
-        mats[size] = mat
-    return mats
+    return chain_homology(basis, characteristic)
 
 
 def scarf_degrees(generators) -> set[tuple[int, tuple[int, ...]]]:

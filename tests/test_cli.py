@@ -4,7 +4,11 @@ import json
 import pytest
 
 from symbetti import (
+    BettiRecord,
     BettiSet,
+    CheckReport,
+    CompactDegree,
+    SegmentSet,
     IdealFileError,
     betti_set,
     betti_set_from_payload,
@@ -22,7 +26,7 @@ from symbetti.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     degree_from_runs,
-    degree_runs,
+    record_payload,
     render_graded_table,
 )
 
@@ -85,8 +89,11 @@ class TestRoundTrip:
 
     def test_degree_runs(self):
         degree = (5, 2, 2, 2, 0, 0)
-        assert degree_runs(degree) == [[5, 1], [2, 3], [0, 2]]
-        assert degree_from_runs(degree_runs(degree)) == degree
+        runs = CompactDegree.from_vector(degree).runs()
+        assert runs == [[5, 1], [2, 3], [0, 2]]
+        assert degree_from_runs(runs) == degree
+        entry = record_payload(BettiRecord(1, degree, 1), len(degree))
+        assert entry["degree_rle"] == runs and entry["degree"] == list(degree)
 
 
 class TestRenderTable:
@@ -223,3 +230,29 @@ class TestCommands:
         code, out = run(["verify", "--ideal", path, "--max-n", "3", "--parallel", "1"])
         assert code == EXIT_VERIFY
         assert "FAIL" in out
+
+    def test_extrapolate_position_disagreement_exit_code(self, tmp_path, monkeypatch, capsys):
+        import symbetti.cli as cli
+
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        monkeypatch.setattr(cli, "rank_stability_report", lambda *a, **k: CheckReport(
+            False, ("level 3: position (0, (5, 1, 0)) only on the composed side",)))
+        code, out = run(["extrapolate", "--ideal", path, "--n", "5", "--parallel", "1"])
+        assert code == EXIT_VERIFY
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "composed positions disagree" in err
+        assert "counterexample: level 3: position (0, (5, 1, 0))" in err
+
+    def test_asymptotics_slope_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
+        import symbetti.stability as stability
+
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        monkeypatch.setattr(stability, "segments", lambda ideal: SegmentSet(
+            frozenset(), frozenset({(0, 4, 3)}), 2, {(0, 4, 3): 1}))
+        code, out = run(["asymptotics", "--ideal", path, "--parallel", "1"])
+        assert code == EXIT_VERIFY
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "segment slopes top out at 3, expected 1" in err
+        assert "counterexample: segment start (0, 4, 3)" in err

@@ -8,13 +8,19 @@ from hypothesis import given, settings, strategies as st
 from symbetti import (
     ComplexTooLargeError,
     FieldSpec,
+    GeneratorCapError,
     SimplicialComplex,
     boundary_matrices,
     boundary_squares_to_zero,
+    candidate_degrees,
     euler_characteristic_check,
+    expand_generators,
     faces_by_dim,
     rank_over_field,
     reduced_homology_dims,
+    restrict_to_n,
+    strand_basis,
+    upper_koszul_complex,
     vertex_cap,
 )
 
@@ -46,6 +52,26 @@ def fraction_rank(matrix) -> int:
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def modp_rank(matrix, p) -> int:
+    """Plain Gaussian elimination over F_p on dense rows, as an independent oracle."""
+    m = [[x % p for x in row] for row in matrix]
+    if not m or not m[0]:
+        return 0
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv % p
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
 
@@ -93,9 +119,48 @@ class TestRank:
         assert rank_over_field(matrix, p) == dm.rank()
 
     def test_unit_pivot_fallback_path(self):
-        # no +-1 entries anywhere: exercises the fraction-free core
+        # no +-1 entries anywhere: every pivot is inverted as a Fraction
         matrix = [[2, 4, 6], [4, 8, 12], [6, 8, 2]]
         assert rank_over_field(matrix, 0) == fraction_rank(matrix) == 2
+
+
+# strands with more subsets than this in some degree are left to the oracle
+# runs: the Fraction reference needs seconds per matrix beyond it
+STRAND_BASIS_LIMIT = 100
+
+
+class TestEliminationDifferential:
+    def test_fixture_matrices_match_reference_eliminations(
+            self, ideal_j, ideal_tree, ideal_perm, ideal_rp2):
+        matrices = {}
+        for ideal in (ideal_j, ideal_tree, ideal_perm, ideal_rp2):
+            for n in range(1, 6):
+                gens, expanded = restrict_to_n(ideal, n), expand_generators(ideal, n)
+                for a in candidate_degrees(ideal, n):
+                    bases = [faces_by_dim(upper_koszul_complex(gens, a))]
+                    try:
+                        strand = strand_basis(expanded, a)
+                    except GeneratorCapError:
+                        strand = {}
+                    if strand and max(map(len, strand.values())) <= STRAND_BASIS_LIMIT:
+                        bases.append(strand)
+                    for basis in bases:
+                        for mat in boundary_matrices(basis).values():
+                            matrices.setdefault(tuple(map(tuple, mat)), mat)
+        # the rp2 degree whose homology depends on the characteristic
+        rp2_top = upper_koszul_complex(restrict_to_n(ideal_rp2, 6), (6, 5, 4, 3, 2, 1))
+        for mat in boundary_matrices(faces_by_dim(rp2_top)).values():
+            matrices.setdefault(tuple(map(tuple, mat)), mat)
+        assert len(matrices) > 100
+        field_dependent = 0
+        for mat in matrices.values():
+            r0 = fraction_rank(mat)
+            assert rank_over_field(mat, 0) == r0, mat
+            for p in (2, 3):
+                rp = modp_rank(mat, p)
+                assert rank_over_field(mat, p) == rp, (p, mat)
+                field_dependent += rp != r0
+        assert field_dependent >= 1
 
 
 class TestReducedHomology:
@@ -156,10 +221,8 @@ class TestChainConsistency:
             assert reduced_homology_dims(cx.cone(), 2) == {}
 
     def test_downward_closure_detected(self):
-        bad = SimplicialComplex(2, frozenset({0b11, 0b01, 0b00}))
-        assert not bad.is_downward_closed()
-        with pytest.raises(ValueError):
-            boundary_matrices(bad)
+        with pytest.raises(ValueError, match="not downward closed"):
+            SimplicialComplex(2, frozenset({0b11, 0b01, 0b00}))
 
 
 class TestVertexCap:

@@ -7,10 +7,11 @@ from symbetti import (
     GeneratorCapError,
     SymmetricIdeal,
     betti_at_degree,
+    boundary_matrices,
     candidate_degrees,
     expand_generators,
     scarf_degrees,
-    strand_boundary_matrices,
+    strand_basis,
     taylor_strand_tor,
 )
 from conftest import random_ideal
@@ -44,11 +45,11 @@ class TestStrandTor:
         for ideal, n in ((ideal_j, 3), (ideal_j, 4), (ideal_tree, 4)):
             gens = expand_generators(ideal, n)
             for a in candidate_degrees(ideal, n):
-                mats = strand_boundary_matrices(gens, a)
-                for size in sorted(mats):
-                    if size + 1 not in mats:
+                mats = boundary_matrices(strand_basis(gens, a))
+                for d in sorted(mats):
+                    if d + 1 not in mats:
                         continue
-                    outer, inner = mats[size], mats[size + 1]
+                    outer, inner = mats[d], mats[d + 1]
                     for r in range(len(outer)):
                         for c in range(len(inner[0])):
                             assert sum(outer[r][k] * inner[k][c]
