@@ -19,7 +19,7 @@ from .homology import (
     boundary_squares_to_zero,
     euler_characteristic_check,
 )
-from .betti import upper_koszul_complex
+from .betti import bitmask_betti_dims, upper_koszul_complex
 from .ideals import (
     Partition,
     SymmetricIdeal,
@@ -369,6 +369,11 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
             bad_complexes.append(f"boundary composition nonzero at degree {a}")
         if not euler_characteristic_check(cx, ideal.characteristic):
             bad_complexes.append(f"Euler characteristic mismatch at degree {a}")
+        profile = betti_at_degree(ideal, a, gens=gens_level0)
+        reference = bitmask_betti_dims(gens_level0, ideal.characteristic, a)
+        if profile != reference:
+            bad_complexes.append(
+                f"block-profile ranks {profile} vs complex ranks {reference} at degree {a}")
     report(f"homology consistency at level {level0}", not bad_complexes, bad_complexes)
 
     oracle_bad = []

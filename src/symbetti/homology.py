@@ -111,6 +111,11 @@ class SimplicialComplex:
                     raise ValueError(f"vertex {v} outside range(0, {vertex_count})")
                 mask |= 1 << v
             masks.add(mask)
+        return cls.from_masks(vertex_count, masks)
+
+    @classmethod
+    def from_masks(cls, vertex_count: int, masks: Iterable[int]) -> "SimplicialComplex":
+        """Downward closure of the given faces, as bitmasks over the vertices."""
         closed: set[int] = set()
         for m in masks:
             if m in closed:

@@ -231,6 +231,23 @@ class TestCommands:
         assert code == EXIT_VERIFY
         assert "FAIL" in out
 
+    def test_verify_profile_mismatch_exit_code(self, tmp_path, monkeypatch):
+        import symbetti.betti as betti
+
+        real = betti._betti_dims
+
+        def wrong_at_52(gens, characteristic, a):
+            return {1: 2} if tuple(a) == (5, 2) else real(gens, characteristic, a)
+
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        monkeypatch.setattr(betti, "_betti_dims", wrong_at_52)
+        code, out = run(["verify", "--ideal", path, "--max-n", "2", "--parallel", "1"])
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        at = lines.index("FAIL homology consistency at level 2")
+        assert lines[at + 1] == ("  counterexample: block-profile ranks {1: 2}"
+                                 " vs complex ranks {1: 1} at degree (5, 2)")
+
     def test_extrapolate_position_disagreement_exit_code(self, tmp_path, monkeypatch, capsys):
         import symbetti.cli as cli
 
