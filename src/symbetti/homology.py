@@ -2,11 +2,14 @@
 
 Complexes live on a small ground set and store their faces as bitmasks.
 A graded basis (degree -> sorted bitmasks) defines a chain complex through
-one boundary builder, and one homology routine ranks its matrices with one
-exact Gaussian elimination: integer unit pivots with a Fraction fallback in
-characteristic zero, residues mod p otherwise.  The face poset of a complex
-and the generator-subset strands of the oracle (`taylor.strand_basis`) both
-go through it.  No floating point is used anywhere, so ranks (and hence
+one boundary builder, which emits sparse columns ({row: +-1} dicts; a
+column has at most d + 1 nonzeros), and one homology routine ranks them
+with one exact sparse column reduction: pivot columns keyed by their
+highest row, residues mod p in characteristic p, and in characteristic
+zero integer columns kept integral by +-1 pivots or else by the
+fraction-free update b*v - a*pivot.  The face poset of a complex and the
+generator-subset strands of the oracle (`taylor.strand_basis`) both go
+through it.  No floating point is used anywhere, so ranks (and hence
 homology dimensions) are never corrupted by overflow or round-off.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 DEFAULT_VERTEX_CAP = 14
@@ -159,89 +162,100 @@ def faces_by_dim(cx: SimplicialComplex) -> dict[int, list[int]]:
     return out
 
 
-def boundary_matrix(basis: dict[int, list[int]], d: int) -> list[list[int]]:
-    """Integer matrix of the boundary from degree d to degree d - 1 of a graded basis.
+def boundary_matrix(basis: dict[int, list[int]], d: int) -> list[dict[int, int]]:
+    """Sparse integer matrix of the boundary from degree d to degree d - 1 of a graded basis.
 
-    A basis maps each degree to a sorted list of bitmasks; rows are indexed by
-    basis[d - 1] and columns by basis[d].  Dropping the j-th lowest set bit of
-    a column contributes (-1)**j, and terms outside basis[d - 1] are left out.
-    For the faces of a simplicial complex this is the usual boundary; for a
-    convex family of generator subsets it keeps exactly the terms whose lcm is
-    unchanged.
+    A basis maps each degree to a sorted list of bitmasks; the matrix is the
+    list of its columns, one `{row: +-1}` dict per element of basis[d], with
+    rows indexed by positions in basis[d - 1].  Dropping the j-th lowest set
+    bit of a column contributes (-1)**j, and terms outside basis[d - 1] are
+    left out.  For the faces of a simplicial complex this is the usual
+    boundary; for a convex family of generator subsets it keeps exactly the
+    terms whose lcm is unchanged.
     """
     lower = {m: k for k, m in enumerate(basis.get(d - 1, ()))}
-    group = basis[d]
-    rows = [[0] * len(group) for _ in range(len(lower))]
-    for col, mask in enumerate(group):
+    columns = []
+    for mask in basis[d]:
+        column = {}
         sign = 1
         bits = mask
         while bits:
             low = bits & -bits
             row = lower.get(mask ^ low)
             if row is not None:
-                rows[row][col] = sign
+                column[row] = sign
             sign = -sign
             bits ^= low
-    return rows
+        columns.append(column)
+    return columns
 
 
-def boundary_matrices(basis: dict[int, list[int]]) -> dict[int, list[list[int]]]:
-    """Every boundary matrix of a graded basis, keyed by its source degree."""
+def boundary_matrices(basis: dict[int, list[int]]) -> dict[int, list[dict[int, int]]]:
+    """Every sparse boundary matrix of a graded basis, keyed by its source degree."""
     return {d: boundary_matrix(basis, d) for d in sorted(basis) if d - 1 in basis}
 
 
-def rank_over_field(matrix: list[list[int]], field=0) -> int:
-    """Exact rank of an integer matrix over Q (characteristic 0) or F_p.
+def rank_over_field(columns: list[dict[int, int]], field=0) -> int:
+    """Exact rank over Q (characteristic 0) or F_p of a matrix given by sparse integer columns.
 
-    One Gaussian elimination serves every field.  Over F_p the entries are
-    reduced mod p and any nonzero pivot is a unit.  Over Q a +-1 pivot is
-    preferred, which keeps boundary-style matrices integral; only when a
-    column has none left is the pivot inverted as a Fraction.  Each pivot step
-    touches only the pivot row's nonzero columns, since boundary matrices are
-    sparse.
+    Each column is a `{row: entry}` dict.  One column reduction serves every
+    field: pivot columns are kept in a dict keyed by their highest row, and
+    each new column is reduced against the pivot at its current highest row
+    until it vanishes or reaches a row no pivot holds, where it becomes the
+    pivot.  The rank is the number of pivots; nothing dense is built and no
+    row is searched or swapped.  Over F_p entries are residues and a pivot is
+    scaled by `pow(b, -1, p)` of its leading entry b when it is stored.  Over
+    Q a +-1 pivot is subtracted `a * b` times, which keeps the column
+    integral; any other pivot uses the fraction-free update `b * v - a *
+    pivot`, exact because b != 0 leaves the span unchanged, and the result is
+    divided by the gcd of its entries.
     """
     p = _char_of(field)
-    if not matrix or not matrix[0]:
-        return 0
-    m = [[x % p for x in row] for row in matrix] if p else [list(row) for row in matrix]
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(rank, n_rows):
-            v = m[r][col]
-            if v:
-                if p or v == 1 or v == -1:
-                    pivot_row = r
-                    break
-                if pivot_row is None:
-                    pivot_row = r
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        top = m[rank]
-        pivot = top[col]
-        if p:
-            inv = pow(pivot, -1, p)
-        else:
-            # a +-1 pivot is its own inverse, so the row stays integral
-            inv = pivot if pivot in (1, -1) else Fraction(1, pivot)
-        support = [c for c in range(col + 1, n_cols) if top[c]]
-        for r in range(rank + 1, n_rows):
-            row = m[r]
-            v = row[col]
-            if v:
-                factor = v * inv
-                if p:
-                    for c in support:
-                        row[c] = (row[c] - factor * top[c]) % p
+    # highest row -> (entry there, the rest of the pivot column)
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for column in columns:
+        v = {}
+        for r, x in column.items():
+            if p:
+                x %= p
+            if x:
+                v[r] = x
+        while v:
+            top = max(v)
+            a = v.pop(top)
+            if top not in pivots:
+                if p and a != 1:
+                    inv = pow(a, -1, p)
+                    v = {r: x * inv % p for r, x in v.items()}
+                    a = 1
+                pivots[top] = (a, v)
+                break
+            # the update cancels row `top` exactly, so it is left out
+            b, rest = pivots[top]
+            if b == 1 or b == -1:
+                # every stored pivot leads with 1 over F_p
+                factor = a * b
+                for r, x in rest.items():
+                    y = v.get(r, 0) - factor * x
+                    if p:
+                        y %= p
+                    if y:
+                        v[r] = y
+                    else:
+                        del v[r]
+                continue
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            w = {r: b * x for r, x in v.items()}
+            for r, x in rest.items():
+                y = w.get(r, 0) - a * x
+                if y:
+                    w[r] = y
                 else:
-                    for c in support:
-                        row[c] -= factor * top[c]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+                    del w[r]
+            g = gcd(*w.values())
+            v = {r: x // g for r, x in w.items()} if g > 1 else w
+    return len(pivots)
 
 
 def chain_homology(basis: dict[int, list[int]], field=0) -> dict[int, int]:
@@ -293,12 +307,12 @@ def boundary_squares_to_zero(cx: SimplicialComplex) -> bool:
     for d in sorted(mats):
         if d + 1 not in mats:
             continue
-        outer, inner = mats[d], mats[d + 1]
-        if not outer or not inner:
-            continue
-        for col in range(len(inner[0])):
-            column = [inner[k][col] for k in range(len(inner))]
-            for r in range(len(outer)):
-                if sum(outer[r][k] * column[k] for k in range(len(column))):
-                    return False
+        outer = mats[d]
+        for column in mats[d + 1]:
+            image: dict[int, int] = {}
+            for k, x in column.items():
+                for r, y in outer[k].items():
+                    image[r] = image.get(r, 0) + x * y
+            if any(image.values()):
+                return False
     return True

@@ -42,32 +42,37 @@ def expand_generators(ideal: SymmetricIdeal, n: int) -> tuple[tuple[int, ...], .
 def _subsets_with_lcm(divisors, a):
     """All nonempty subsets of `divisors` (bitmasks) whose componentwise max is a.
 
-    Two prunes keep this linear in the output: a branch is abandoned when the
-    remaining elements can no longer raise the running lcm to a, and once the
-    running lcm reaches a the whole remaining subtree is emitted without any
-    further lcm arithmetic (every extension still has lcm a), which also lets
-    oversized strands be rejected before they are walked.
+    Every divisor is at most a, so a subset has lcm a exactly when each
+    coordinate of a is attained by some member; each divisor is reduced to
+    the bitmask of the coordinates where it equals a, and the walk ORs these
+    integers.  Two prunes keep this linear in the output: a branch is
+    abandoned when the remaining elements can no longer cover every
+    coordinate, and once the running cover is complete the whole remaining
+    subtree is emitted without any further arithmetic (every extension still
+    has lcm a), which also lets oversized strands be rejected before they are
+    walked.
     """
-    zero = (0,) * len(a)
-    count = len(divisors)
-    suffix = [zero] * (count + 1)
+    full = (1 << len(a)) - 1
+    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
+    count = len(hits)
+    suffix = [0] * (count + 1)
     for k in range(count - 1, -1, -1):
-        suffix[k] = tuple(map(max, suffix[k + 1], divisors[k]))
+        suffix[k] = suffix[k + 1] | hits[k]
     found: list[int] = []
 
-    def grow(idx, lcm, chosen):
-        if lcm == a:
+    def grow(idx, covered, chosen):
+        if covered == full:
             if len(found) + (1 << (count - idx)) > _STRAND_CAP:
                 raise GeneratorCapError("degree strand is too large to enumerate")
-            found.extend(chosen | tail << idx for tail in range(1 << (count - idx))
-                         if chosen or tail)
+            step = 1 << idx
+            found.extend(range(chosen or step, chosen + (1 << count), step))
             return
-        if tuple(map(max, lcm, suffix[idx])) != a:
+        if covered | suffix[idx] != full:
             return
-        grow(idx + 1, lcm, chosen)
-        grow(idx + 1, tuple(map(max, lcm, divisors[idx])), chosen | 1 << idx)
+        grow(idx + 1, covered, chosen)
+        grow(idx + 1, covered | hits[idx], chosen | 1 << idx)
 
-    grow(0, zero, 0)
+    grow(0, 0, 0)
     return found
 
 

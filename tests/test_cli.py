@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -145,6 +149,18 @@ class TestCommands:
         assert "pd(I_n) = n - 1 (n >= 2)" in out
         assert "reg(I_n) = n + 4 (n >= 2)" in out
         assert "CM: false" in out
+
+    def test_python_dash_m(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "symbetti", "asymptotics", "--ideal", "ideals/J.json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK
+        assert "pd(I_n) = n - 1 (n >= 2); reg(I_n) = n + 4 (n >= 2); CM: false" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_asymptotics_constant_regularity(self, tmp_path):
         path = write_ideal(

@@ -35,6 +35,19 @@ def rp2_complex() -> SimplicialComplex:
     return SimplicialComplex.from_faces(6, RP2_TRIANGLES)
 
 
+def sparse(matrix) -> list[dict[int, int]]:
+    """Columns of a dense row-major matrix as {row: entry} dicts, zeros left out."""
+    width = len(matrix[0]) if matrix else 0
+    return [{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(width)]
+
+
+def dense(columns, height=None) -> list[list[int]]:
+    """Row-major dense form of sparse columns, as the reference eliminations take it."""
+    if height is None:
+        height = 1 + max((r for col in columns for r in col), default=-1)
+    return [[col.get(r, 0) for col in columns] for r in range(height)]
+
+
 def fraction_rank(matrix) -> int:
     """Plain Gaussian elimination over Fraction, as an independent oracle."""
     m = [[Fraction(x) for x in row] for row in matrix]
@@ -83,6 +96,11 @@ small_matrices = st.integers(1, 5).flatmap(
     )
 )
 
+# entries beyond +-1 send characteristic zero through the fraction-free update;
+# explicit zero entries must be ignored
+sparse_columns = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(-6, 6), max_size=5), max_size=8)
+
 
 def random_complex(rng: random.Random, max_vertices=8, max_faces=8, max_face_size=4):
     vertices = rng.randint(1, max_vertices)
@@ -95,19 +113,19 @@ def random_complex(rng: random.Random, max_vertices=8, max_faces=8, max_face_siz
 
 class TestRank:
     def test_examples(self):
-        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        identity = [{0: 1}, {1: 1}, {2: 1}]
         assert rank_over_field(identity, 2) == 3
-        assert rank_over_field([[2]], 2) == 0
-        assert rank_over_field([[2]], 0) == 1
+        assert rank_over_field([{0: 2}], 2) == 0
+        assert rank_over_field([{0: 2}], 0) == 1
 
     def test_field_spec_wrapper(self):
-        assert rank_over_field([[3]], FieldSpec(3)) == 0
+        assert rank_over_field([{0: 3}], FieldSpec(3)) == 0
         with pytest.raises(ValueError):
             FieldSpec(6)
 
     @given(small_matrices)
     def test_char0_matches_fraction_oracle(self, matrix):
-        assert rank_over_field(matrix, 0) == fraction_rank(matrix)
+        assert rank_over_field(sparse(matrix), 0) == fraction_rank(matrix)
 
     @given(small_matrices, st.sampled_from([2, 3, 5]))
     def test_mod_p_matches_sympy(self, matrix, p):
@@ -116,12 +134,18 @@ class TestRank:
         from sympy.polys.matrices import DomainMatrix
 
         dm = DomainMatrix.from_Matrix(Matrix(matrix)).convert_to(GF(p))
-        assert rank_over_field(matrix, p) == dm.rank()
+        assert rank_over_field(sparse(matrix), p) == dm.rank()
+
+    @given(sparse_columns, st.sampled_from([0, 2, 3, 5]))
+    def test_sparse_columns_match_dense_references(self, columns, p):
+        matrix = dense(columns)
+        expected = modp_rank(matrix, p) if p else fraction_rank(matrix)
+        assert rank_over_field(columns, p) == expected
 
     def test_unit_pivot_fallback_path(self):
-        # no +-1 entries anywhere: every pivot is inverted as a Fraction
+        # no +-1 entries anywhere: every step takes the fraction-free update
         matrix = [[2, 4, 6], [4, 8, 12], [6, 8, 2]]
-        assert rank_over_field(matrix, 0) == fraction_rank(matrix) == 2
+        assert rank_over_field(sparse(matrix), 0) == fraction_rank(matrix) == 2
 
 
 # strands with more subsets than this in some degree are left to the oracle
@@ -133,6 +157,13 @@ class TestEliminationDifferential:
     def test_fixture_matrices_match_reference_eliminations(
             self, ideal_j, ideal_tree, ideal_perm, ideal_rp2):
         matrices = {}
+
+        def add(basis, d, columns):
+            # keyed with the row count, so matrices differing only in zero rows stay apart
+            height = len(basis[d - 1])
+            key = (height, tuple(tuple(sorted(col.items())) for col in columns))
+            matrices.setdefault(key, (columns, dense(columns, height)))
+
         for ideal in (ideal_j, ideal_tree, ideal_perm, ideal_rp2):
             for n in range(1, 6):
                 gens, expanded = restrict_to_n(ideal, n), expand_generators(ideal, n)
@@ -145,19 +176,20 @@ class TestEliminationDifferential:
                     if strand and max(map(len, strand.values())) <= STRAND_BASIS_LIMIT:
                         bases.append(strand)
                     for basis in bases:
-                        for mat in boundary_matrices(basis).values():
-                            matrices.setdefault(tuple(map(tuple, mat)), mat)
+                        for d, mat in boundary_matrices(basis).items():
+                            add(basis, d, mat)
         # the rp2 degree whose homology depends on the characteristic
         rp2_top = upper_koszul_complex(restrict_to_n(ideal_rp2, 6), (6, 5, 4, 3, 2, 1))
-        for mat in boundary_matrices(faces_by_dim(rp2_top)).values():
-            matrices.setdefault(tuple(map(tuple, mat)), mat)
+        rp2_basis = faces_by_dim(rp2_top)
+        for d, mat in boundary_matrices(rp2_basis).items():
+            add(rp2_basis, d, mat)
         assert len(matrices) > 100
         field_dependent = 0
-        for mat in matrices.values():
-            r0 = fraction_rank(mat)
+        for mat, rows in matrices.values():
+            r0 = fraction_rank(rows)
             assert rank_over_field(mat, 0) == r0, mat
             for p in (2, 3):
-                rp = modp_rank(mat, p)
+                rp = modp_rank(rows, p)
                 assert rank_over_field(mat, p) == rp, (p, mat)
                 field_dependent += rp != r0
         assert field_dependent >= 1

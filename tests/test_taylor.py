@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symbetti import (
     GeneratorCapError,
@@ -14,7 +15,16 @@ from symbetti import (
     strand_basis,
     taylor_strand_tor,
 )
+from symbetti.taylor import _subsets_with_lcm
 from conftest import random_ideal
+
+# a degree and up to ten divisors of it, repeats and zero coordinates allowed
+divisor_sets = st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
+    lambda a: st.tuples(
+        st.just(tuple(a)),
+        st.lists(st.tuples(*(st.integers(0, x) for x in a)), max_size=10),
+    )
+)
 
 
 class TestExpandGenerators:
@@ -50,10 +60,20 @@ class TestStrandTor:
                     if d + 1 not in mats:
                         continue
                     outer, inner = mats[d], mats[d + 1]
-                    for r in range(len(outer)):
-                        for c in range(len(inner[0])):
-                            assert sum(outer[r][k] * inner[k][c]
-                                       for k in range(len(inner))) == 0
+                    rows = {r for col in outer for r in col}
+                    for r in rows:
+                        for col in inner:
+                            assert sum(outer[k].get(r, 0) * x
+                                       for k, x in col.items()) == 0
+
+    @given(divisor_sets)
+    def test_subsets_with_lcm_matches_brute_force(self, case):
+        a, divisors = case
+        expected = [
+            s for s in range(1, 1 << len(divisors))
+            if tuple(map(max, zip(*(g for k, g in enumerate(divisors) if s >> k & 1)))) == a
+        ]
+        assert sorted(_subsets_with_lcm(divisors, a)) == expected
 
     def test_agrees_with_homology_route(self, ideal_j, ideal_tree):
         from dataclasses import replace
