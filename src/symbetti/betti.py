@@ -46,12 +46,12 @@ import multiprocessing
 from dataclasses import dataclass
 
 from .homology import (
+    VERTEX_CAP,
     ComplexTooLargeError,
     SimplicialComplex,
     chain_homology,
     faces_by_dim,
     reduced_homology_dims,
-    vertex_cap,
 )
 from .ideals import (
     SymmetricIdeal,
@@ -122,9 +122,9 @@ def upper_koszul_complex(gens, a) -> SimplicialComplex:
     a = tuple(a)
     support = [k for k, e in enumerate(a) if e > 0]
     t = len(support)
-    cap = vertex_cap()
-    if t > cap:
-        raise ComplexTooLargeError(f"degree has support {t}, above the vertex cap {cap}")
+    if t > VERTEX_CAP:
+        # refused before the 2^t membership tests, not at construction
+        raise ComplexTooLargeError(f"degree has support {t}, above the vertex cap {VERTEX_CAP}")
     faces = []
     for mask in range(1 << t):
         b = list(a)
@@ -184,13 +184,9 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
 def _betti_dims(gens, characteristic, a) -> dict[int, int]:
     """Nonzero Betti ranks at degree a, by the block-profile formula.
 
-    The support cap of the bitmask route still applies, so a degree it
-    refuses is refused here too, before any work.
+    The only complexes built are the D_h, on r vertices (one per block), so
+    the support of a is not capped here.
     """
-    support = sum(1 for e in a if e > 0)
-    cap = vertex_cap()
-    if support > cap:
-        raise ComplexTooLargeError(f"degree has support {support}, above the vertex cap {cap}")
     sizes, boxes = profile_boxes(gens, a)
     if not boxes:
         return {}

@@ -1,4 +1,4 @@
-"""Command line surface: ideal files, rendered tables, JSON payloads, verification.
+"""Command line surface: rendered tables, JSON output, verification.
 
 The single structured format is JSON, both for ideal descriptions and for
 outputs; the human-facing rendering is a plain grid whose row j, column i cell
@@ -13,19 +13,26 @@ import os
 import sys
 from dataclasses import replace
 
-from .betti import BettiRecord, BettiSet, betti_at_degree, betti_set, graded_table, pd_and_reg
+from .betti import (
+    BettiSet,
+    betti_at_degree,
+    betti_set,
+    bitmask_betti_dims,
+    graded_table,
+    pd_and_reg,
+    upper_koszul_complex,
+)
 from .homology import (
     ComplexTooLargeError,
     boundary_squares_to_zero,
     euler_characteristic_check,
 )
-from .betti import bitmask_betti_dims, upper_koszul_complex
 from .ideals import (
-    Partition,
+    IdealFileError,
     SymmetricIdeal,
     ZeroIdealError,
     candidate_degrees,
-    minimal_generators,
+    parse_ideal_file,
     restrict_to_n,
 )
 from .stability import (
@@ -33,14 +40,16 @@ from .stability import (
     CompactDegree,
     CompactRecord,
     ConsistencyError,
-    SegmentSet,
     SizeCapError,
     asymptotics,
+    betti_set_payload,
     check_positive_lift,
     check_shift_equivalence,
     compose_betti,
     extrapolate_full_support,
     rank_stability_report,
+    record_payload,
+    segment_set_payload,
     segments,
 )
 from .taylor import GeneratorCapError, expand_generators, taylor_strand_tor
@@ -50,131 +59,12 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
 
-# beyond this level, explicit degree arrays are omitted in favor of run lengths
-DEGREE_LIST_LIMIT = 10_000
 # beyond this many materialized records, extrapolation reports families only
 MATERIALIZE_LIMIT = 100_000
 
 
-class IdealFileError(ValueError):
-    """Invalid ideal description; `code` names the failure kind."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def parse_ideal_text(text: str, warn=None) -> SymmetricIdeal:
-    """Parse a JSON ideal description, minimalizing the generating set.
-
-    Error codes: malformed-document (not the expected JSON shape),
-    bad-partition (a generator is not a weakly decreasing list of positive
-    integers), bad-characteristic (not zero or a prime).
-    """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise IdealFileError("malformed-document", f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
-        raise IdealFileError(
-            "malformed-document", 'expected an object with a "generators" list'
-        )
-    parts = []
-    for raw in data["generators"]:
-        if (not isinstance(raw, list) or not raw
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in raw)):
-            raise IdealFileError(
-                "bad-partition", f"generator {raw!r} is not a nonempty list of integers"
-            )
-        try:
-            parts.append(Partition(tuple(raw)))
-        except ValueError as exc:
-            raise IdealFileError("bad-partition", str(exc)) from exc
-    characteristic = data.get("characteristic", 0)
-    if not isinstance(characteristic, int) or isinstance(characteristic, bool):
-        raise IdealFileError("bad-characteristic", f"characteristic {characteristic!r} is not an integer")
-    try:
-        ideal = SymmetricIdeal.from_parts(
-            (p.parts for p in parts), characteristic, data.get("name")
-        )
-    except ValueError as exc:
-        raise IdealFileError("bad-characteristic", str(exc)) from exc
-    if warn is not None:
-        removed = set(parts) - set(ideal.generators)
-        for g in sorted(removed, key=lambda p: p.parts):
-            warn(f"generator {list(g.parts)} is redundant and was dropped")
-    return ideal
-
-
-def parse_ideal_file(path, warn=None) -> SymmetricIdeal:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IdealFileError("malformed-document", f"cannot read {path}: {exc}") from exc
-    return parse_ideal_text(text, warn=warn)
-
-
-def render_ideal(ideal: SymmetricIdeal) -> dict:
-    payload = {
-        "generators": [list(g.parts) for g in sorted(ideal.generators, key=lambda g: g.parts)],
-        "characteristic": ideal.characteristic,
-    }
-    if ideal.name is not None:
-        payload["name"] = ideal.name
-    return payload
-
-
-def degree_from_runs(runs) -> tuple[int, ...]:
-    out: list[int] = []
-    for v, count in runs:
-        out.extend([v] * count)
-    return tuple(out)
-
-
-def record_payload(record, n: int) -> dict:
-    compact = (record.degree if isinstance(record, CompactRecord)
-               else CompactDegree.from_vector(record.degree))
-    entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
-    if n <= DEGREE_LIST_LIMIT:
-        entry["degree"] = list(compact.expand())
-    return entry
-
-
-def record_from_payload(entry) -> BettiRecord:
-    degree = tuple(entry["degree"]) if "degree" in entry else degree_from_runs(entry["degree_rle"])
-    return BettiRecord(entry["i"], degree, entry["rank"])
-
-
-def betti_set_payload(bs: BettiSet) -> dict:
-    return {"n": bs.n, "records": [record_payload(r, bs.n) for r in bs.sorted_records()]}
-
-
-def betti_set_from_payload(payload) -> BettiSet:
-    return BettiSet(payload["n"], frozenset(record_from_payload(e) for e in payload["records"]))
-
-
 def table_payload(table: dict[tuple[int, int], int]) -> list[dict]:
     return [{"i": i, "j": j, "beta": table[(i, j)]} for (i, j) in sorted(table)]
-
-
-def segment_set_payload(seg: SegmentSet) -> dict:
-    return {
-        "base": [list(p) for p in sorted(seg.base)],
-        "D": [list(t) for t in sorted(seg.starts)],
-        "D_ranks": [[*t, seg.rank_sums[t]] for t in sorted(seg.rank_sums)],
-        "m": seg.m,
-    }
-
-
-def segment_set_from_payload(payload) -> SegmentSet:
-    sums = {tuple(entry[:3]): entry[3] for entry in payload.get("D_ranks", [])}
-    return SegmentSet(
-        frozenset(tuple(p) for p in payload["base"]),
-        frozenset(tuple(t) for t in payload["D"]),
-        payload["m"],
-        sums,
-    )
 
 
 def _linear_form(slope: int, intercept: int, var: str = "n") -> str:

@@ -1,6 +1,6 @@
 """Exact reduced simplicial homology over the rationals and prime fields.
 
-Complexes live on a small ground set and store their faces as bitmasks.
+Complexes store their faces as bitmasks, on at most VERTEX_CAP vertices.
 A graded basis (degree -> sorted bitmasks) defines a chain complex through
 one boundary builder, which emits sparse columns ({row: +-1} dicts; a
 column has at most d + 1 nonzeros), and one homology routine ranks them
@@ -15,31 +15,16 @@ homology dimensions) are never corrupted by overflow or round-off.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-DEFAULT_VERTEX_CAP = 14
-HARD_VERTEX_CAP = 20
+# No simplicial complex on more vertices than this is ever built.
+VERTEX_CAP = 14
 
 
 class ComplexTooLargeError(ValueError):
-    """The vertex count exceeds the configured cap (see SYMBETTI_MAX_VERTICES)."""
-
-
-def vertex_cap() -> int:
-    """Effective vertex cap: SYMBETTI_MAX_VERTICES, clamped to the hard cap."""
-    raw = os.environ.get("SYMBETTI_MAX_VERTICES")
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SYMBETTI_MAX_VERTICES must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("SYMBETTI_MAX_VERTICES must be positive")
-    return min(value, HARD_VERTEX_CAP)
+    """A complex on more than VERTEX_CAP vertices was asked for."""
 
 
 def is_prime(p: int) -> bool:
@@ -66,22 +51,6 @@ def validate_characteristic(p: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldSpec:
-    """A coefficient field, known only through its characteristic."""
-
-    characteristic: int = 0
-
-    def __post_init__(self):
-        validate_characteristic(self.characteristic)
-
-
-def _char_of(field) -> int:
-    if isinstance(field, FieldSpec):
-        return field.characteristic
-    return validate_characteristic(field)
-
-
-@dataclass(frozen=True)
 class SimplicialComplex:
     """Faces as bitmasks over vertices 0..vertex_count-1, closed under subsets.
 
@@ -95,9 +64,9 @@ class SimplicialComplex:
     def __post_init__(self):
         if self.vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        if self.vertex_count > HARD_VERTEX_CAP:
+        if self.vertex_count > VERTEX_CAP:
             raise ComplexTooLargeError(
-                f"{self.vertex_count} vertices exceeds the hard cap of {HARD_VERTEX_CAP}"
+                f"{self.vertex_count} vertices exceeds the vertex cap {VERTEX_CAP}"
             )
         object.__setattr__(self, "faces", frozenset(self.faces))
         if not self.is_downward_closed():
@@ -210,7 +179,7 @@ def rank_over_field(columns: list[dict[int, int]], field=0) -> int:
     pivot`, exact because b != 0 leaves the span unchanged, and the result is
     divided by the gcd of its entries.
     """
-    p = _char_of(field)
+    p = validate_characteristic(field)
     # highest row -> (entry there, the rest of the pivot column)
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for column in columns:
@@ -282,13 +251,6 @@ def reduced_homology_dims(cx: SimplicialComplex, field=0) -> dict[int, int]:
     homology at all, while the complex whose only face is the empty one has a
     single dimension in degree -1.
     """
-    cap = vertex_cap()
-    if cx.vertex_count > cap:
-        raise ComplexTooLargeError(
-            f"{cx.vertex_count} vertices exceeds the cap of {cap}"
-            " (raise SYMBETTI_MAX_VERTICES, hard max "
-            f"{HARD_VERTEX_CAP})"
-        )
     return chain_homology(faces_by_dim(cx), field)
 
 

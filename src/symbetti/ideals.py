@@ -1,4 +1,4 @@
-"""Partitions, symmetric monomial ideals, and candidate multidegree enumeration.
+"""Partitions, symmetric monomial ideals, their JSON description, and candidate degrees.
 
 A symmetric monomial ideal is determined by the antichain of partitions whose
 permuted monomials generate it.  Membership, orbit counting and the finite set
@@ -9,6 +9,7 @@ all reduce to componentwise comparisons of sorted sequences.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -45,32 +46,6 @@ class Partition:
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-
-@dataclass(frozen=True)
-class Multidegree:
-    """An exponent vector of explicit length."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        exps = tuple(self.exponents)
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
-            raise ValueError(f"exponents must be nonnegative integers: {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def n(self) -> int:
-        return len(self.exponents)
-
-    def sorted_desc(self) -> tuple[int, ...]:
-        return tuple(sorted(self.exponents, reverse=True))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(k for k, e in enumerate(self.exponents) if e > 0)
-
-    def total(self) -> int:
-        return sum(self.exponents)
 
 
 def _as_parts(p) -> tuple[int, ...]:
@@ -155,6 +130,65 @@ class SymmetricIdeal:
         """Smallest leading part among the generators; drives the regularity slope."""
         self._require_nonzero()
         return min(g.parts[0] for g in self.generators)
+
+
+class IdealFileError(ValueError):
+    """Invalid ideal description; `code` names the failure kind."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def parse_ideal_text(text: str, warn=None) -> SymmetricIdeal:
+    """Parse a JSON ideal description, minimalizing the generating set.
+
+    Error codes: malformed-document (not the expected JSON shape),
+    bad-partition (a generator is not a weakly decreasing list of positive
+    integers), bad-characteristic (not zero or a prime).
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise IdealFileError("malformed-document", f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("generators"), list):
+        raise IdealFileError(
+            "malformed-document", 'expected an object with a "generators" list'
+        )
+    parts = []
+    for raw in data["generators"]:
+        if (not isinstance(raw, list) or not raw
+                or any(not isinstance(x, int) or isinstance(x, bool) for x in raw)):
+            raise IdealFileError(
+                "bad-partition", f"generator {raw!r} is not a nonempty list of integers"
+            )
+        try:
+            parts.append(Partition(tuple(raw)))
+        except ValueError as exc:
+            raise IdealFileError("bad-partition", str(exc)) from exc
+    characteristic = data.get("characteristic", 0)
+    if not isinstance(characteristic, int) or isinstance(characteristic, bool):
+        raise IdealFileError("bad-characteristic", f"characteristic {characteristic!r} is not an integer")
+    try:
+        ideal = SymmetricIdeal.from_parts(
+            (p.parts for p in parts), characteristic, data.get("name")
+        )
+    except ValueError as exc:
+        raise IdealFileError("bad-characteristic", str(exc)) from exc
+    if warn is not None:
+        removed = set(parts) - set(ideal.generators)
+        for g in sorted(removed, key=lambda p: p.parts):
+            warn(f"generator {list(g.parts)} is redundant and was dropped")
+    return ideal
+
+
+def parse_ideal_file(path, warn=None) -> SymmetricIdeal:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IdealFileError("malformed-document", f"cannot read {path}: {exc}") from exc
+    return parse_ideal_text(text, warn=warn)
 
 
 def restrict_to_n(ideal: SymmetricIdeal, n: int) -> tuple[Partition, ...]:

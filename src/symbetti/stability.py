@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .betti import BettiRecord, BettiSet, betti_set, pd_and_reg
+from .betti import BettiRecord, BettiSet, betti_set
+# not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
+from .betti import pd_and_reg  # noqa: F401
 from .ideals import SymmetricIdeal, ZeroIdealError
 
 
@@ -33,10 +35,13 @@ class ConsistencyError(Exception):
 class CompactDegree:
     """A sorted exponent vector stored as prefix + repeated block + zeros.
 
-    The representation is canonical: trailing prefix entries equal to the
-    repeated value are folded into the repeat count, and a repeated value of
-    zero is folded into the zero count, so structural equality coincides with
-    equality of the expanded vectors.
+    Construction folds trailing prefix entries equal to the repeated value
+    into the repeat count, a repeated value of zero into the zero count, and
+    clears the repeated value of an empty block.  It never moves prefix
+    entries into an empty block, so one vector can have several forms:
+    `from_vector((3, 2, 2, 0))` keeps (3, 2, 2) as its prefix and differs from
+    `CompactDegree((3,), 2, 2, 1)`, although both expand to (3, 2, 2, 0).
+    Compare degrees built along different paths through `expand()`.
     """
 
     prefix: tuple[int, ...] = ()
@@ -153,6 +158,60 @@ class SegmentSet:
         if not positions:
             raise ZeroIdealError("no positions")
         return max(j for _, j in positions)
+
+
+# JSON payloads of records, record sets and segment sets.  A degree travels in
+# the run-length form of CompactDegree.runs(), plus the explicit array up to
+# this many variables.
+DEGREE_LIST_LIMIT = 10_000
+
+
+def degree_from_runs(runs) -> tuple[int, ...]:
+    out: list[int] = []
+    for v, count in runs:
+        out.extend([v] * count)
+    return tuple(out)
+
+
+def record_payload(record, n: int) -> dict:
+    compact = (record.degree if isinstance(record, CompactRecord)
+               else CompactDegree.from_vector(record.degree))
+    entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
+    if n <= DEGREE_LIST_LIMIT:
+        entry["degree"] = list(compact.expand())
+    return entry
+
+
+def record_from_payload(entry) -> BettiRecord:
+    degree = tuple(entry["degree"]) if "degree" in entry else degree_from_runs(entry["degree_rle"])
+    return BettiRecord(entry["i"], degree, entry["rank"])
+
+
+def betti_set_payload(bs: BettiSet) -> dict:
+    return {"n": bs.n, "records": [record_payload(r, bs.n) for r in bs.sorted_records()]}
+
+
+def betti_set_from_payload(payload) -> BettiSet:
+    return BettiSet(payload["n"], frozenset(record_from_payload(e) for e in payload["records"]))
+
+
+def segment_set_payload(seg: SegmentSet) -> dict:
+    return {
+        "base": [list(p) for p in sorted(seg.base)],
+        "D": [list(t) for t in sorted(seg.starts)],
+        "D_ranks": [[*t, seg.rank_sums[t]] for t in sorted(seg.rank_sums)],
+        "m": seg.m,
+    }
+
+
+def segment_set_from_payload(payload) -> SegmentSet:
+    sums = {tuple(entry[:3]): entry[3] for entry in payload.get("D_ranks", [])}
+    return SegmentSet(
+        frozenset(tuple(p) for p in payload["base"]),
+        frozenset(tuple(t) for t in payload["D"]),
+        payload["m"],
+        sums,
+    )
 
 
 @dataclass(frozen=True)

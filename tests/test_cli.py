@@ -18,7 +18,6 @@ from symbetti import (
     betti_set_from_payload,
     betti_set_payload,
     graded_table,
-    main,
     parse_ideal_text,
     segment_set_from_payload,
     segment_set_payload,
@@ -29,10 +28,10 @@ from symbetti.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
-    degree_from_runs,
-    record_payload,
+    main,
     render_graded_table,
 )
+from symbetti.stability import degree_from_runs, record_payload
 
 
 def write_ideal(tmp_path, payload, name="ideal.json"):
@@ -151,16 +150,19 @@ class TestCommands:
         assert "CM: false" in out
 
     def test_python_dash_m(self):
+        # symbetti.cli warns under -m if the package has imported it already
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "symbetti", "asymptotics", "--ideal", "ideals/J.json"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == EXIT_OK
-        assert "pd(I_n) = n - 1 (n >= 2); reg(I_n) = n + 4 (n >= 2); CM: false" in proc.stdout
-        assert "RuntimeWarning" not in proc.stderr
+        for module in ("symbetti", "symbetti.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "asymptotics", "--ideal", "ideals/J.json"],
+                cwd=root, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, module
+            assert ("pd(I_n) = n - 1 (n >= 2); reg(I_n) = n + 4 (n >= 2); CM: false"
+                    in proc.stdout), module
+            assert "RuntimeWarning" not in proc.stderr, module
 
     def test_asymptotics_constant_regularity(self, tmp_path):
         path = write_ideal(
@@ -225,11 +227,19 @@ class TestCommands:
         code, _ = run(["betti", "--ideal", missing, "--n", "2", "--parallel", "1"])
         assert code == EXIT_INPUT
 
-    def test_size_cap_exit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SYMBETTI_MAX_VERTICES", "4")
-        path = write_ideal(tmp_path, {"generators": [[1, 1, 1, 1, 1, 1]]})
-        code, _ = run(["betti", "--ideal", path, "--n", "6", "--parallel", "1"])
+    def test_size_cap_exit(self, tmp_path, capsys):
+        # verify's reference check builds K^a on all 15 support positions
+        path = write_ideal(tmp_path, {"generators": [[1] * 15]})
+        code, _ = run(["verify", "--ideal", path, "--max-n", "15", "--parallel", "1"])
         assert code == EXIT_CAP
+        assert "error[size-cap]" in capsys.readouterr().err
+
+    def test_betti_beyond_vertex_cap(self, tmp_path):
+        # betti builds only D_h, here on one vertex for one block of 15
+        path = write_ideal(tmp_path, {"generators": [[1] * 15]})
+        code, out = run(["betti", "--ideal", path, "--n", "15", "--parallel", "1"])
+        assert code == EXIT_OK
+        assert "pd = 0, reg = 15" in out
 
     def test_zero_ideal_asymptotics_is_input_error(self, tmp_path):
         path = write_ideal(tmp_path, {"generators": []})

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from symbetti import main
+from symbetti.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")

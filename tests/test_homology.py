@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from symbetti import (
     ComplexTooLargeError,
-    FieldSpec,
     GeneratorCapError,
+    Partition,
     SimplicialComplex,
     boundary_matrices,
     boundary_squares_to_zero,
@@ -21,7 +21,6 @@ from symbetti import (
     restrict_to_n,
     strand_basis,
     upper_koszul_complex,
-    vertex_cap,
 )
 
 # the six-vertex projective plane: antipodal quotient of the icosahedron
@@ -119,9 +118,9 @@ class TestRank:
         assert rank_over_field([{0: 2}], 0) == 1
 
     def test_field_spec_wrapper(self):
-        assert rank_over_field([{0: 3}], FieldSpec(3)) == 0
+        assert rank_over_field([{0: 3}], 3) == 0
         with pytest.raises(ValueError):
-            FieldSpec(6)
+            rank_over_field([{0: 1}], 6)
 
     @given(small_matrices)
     def test_char0_matches_fraction_oracle(self, matrix):
@@ -262,19 +261,8 @@ class TestVertexCap:
         with pytest.raises(ComplexTooLargeError):
             SimplicialComplex(21, frozenset())
 
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv("SYMBETTI_MAX_VERTICES", raising=False)
-        assert vertex_cap() == 14
-        cx = SimplicialComplex(15, frozenset({0}))
+    def test_default_cap(self):
         with pytest.raises(ComplexTooLargeError):
-            reduced_homology_dims(cx, 0)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SYMBETTI_MAX_VERTICES", "16")
-        assert vertex_cap() == 16
-        cx = SimplicialComplex(15, frozenset({0}))
-        assert reduced_homology_dims(cx, 0) == {-1: 1}
-
-    def test_env_clamped_to_hard_cap(self, monkeypatch):
-        monkeypatch.setenv("SYMBETTI_MAX_VERTICES", "64")
-        assert vertex_cap() == 20
+            SimplicialComplex(15, frozenset({0}))
+        with pytest.raises(ComplexTooLargeError):
+            upper_koszul_complex([Partition((1,) * 15)], (1,) * 15)

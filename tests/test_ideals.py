@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symbetti import (
-    Multidegree,
     Partition,
     SymmetricIdeal,
     ZeroIdealError,
@@ -51,22 +50,6 @@ class TestPartition:
     def test_stats(self):
         p = Partition((5, 2, 2))
         assert p.length == 3 and p.weight == 9
-
-
-class TestMultidegree:
-    def test_sorted_is_permutation(self):
-        d = Multidegree((0, 3, 1, 3))
-        assert sorted(d.sorted_desc()) == sorted(d.exponents)
-        assert d.sorted_desc() == (3, 3, 1, 0)
-
-    def test_support_and_total(self):
-        d = Multidegree((0, 3, 1, 0))
-        assert d.support() == (1, 2)
-        assert d.total() == 4 == sum(d.sorted_desc())
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Multidegree((1, -1))
 
 
 class TestDominates:

@@ -83,7 +83,8 @@ class TestCompose:
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
             levels = {t: bs(ideal, t) for t in range(1, m + 1)}
-            for n in (m, m + 1, m + 2):
+            # 15 and 20 lie beyond the vertex cap: betti never builds K^a
+            for n in (m, m + 1, m + 2, 15, 20):
                 got = positions(compose_betti(ideal, n, f_levels=levels))
                 assert got == bs(ideal, n).positions()
 
@@ -118,7 +119,7 @@ class TestSegments:
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
             seg = segments(ideal, f_top=bs(ideal, m).F(), bs_below=bs(ideal, m - 1))
-            for n in (m, m + 1, m + 2):
+            for n in (m, m + 1, m + 2, 15, 20):
                 assert seg.graded_positions(n) == set(graded_table(bs(ideal, n)))
 
 
