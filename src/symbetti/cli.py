@@ -37,17 +37,18 @@ from .ideals import (
 )
 from .stability import (
     AsymptoticProfile,
-    CompactDegree,
-    CompactRecord,
     ConsistencyError,
     SizeCapError,
     asymptotics,
     betti_set_payload,
     check_positive_lift,
     check_shift_equivalence,
+    check_stable_composition,
     compose_betti,
     extrapolate_full_support,
+    pad_record,
     rank_stability_report,
+    record_count,
     record_payload,
     segment_set_payload,
     segments,
@@ -58,9 +59,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
-
-# beyond this many materialized records, extrapolation reports families only
-MATERIALIZE_LIMIT = 100_000
 
 
 def table_payload(table: dict[tuple[int, int], int]) -> list[dict]:
@@ -137,24 +135,13 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
     if args.n < m:
         raise ValueError(f"--n must be at least the stabilization level {m}")
     f_levels = {t: betti_set(ideal, t, processes=args.parallel) for t in range(1, m + 1)}
-    carry_ranks = True
-    warnings = []
-    if not args.no_rank_check:
-        report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels,
-                                       processes=args.parallel)
-        if not report.passed:
-            raise ConsistencyError("composed positions disagree with direct computation",
-                                   report.counterexamples)
-        if report.notes:
-            carry_ranks = False
-            warnings = list(report.notes)
-            print("warning: carried ranks are not stable; emitting positions only",
-                  file=sys.stderr)
-            for note in report.notes:
-                print(f"warning: {note}", file=sys.stderr)
+    report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels,
+                                   processes=args.parallel)
+    if not report.passed:
+        raise ConsistencyError("composed positions disagree with direct computation",
+                               report.counterexamples)
     f_top = sorted(f_levels[m].F())
-    low = [r for t in range(1, m) for r in sorted(f_levels[t].F())]
-    total = (args.n - m + 1) * len(f_top) + len(low)
+    total = record_count(f_levels, args.n, m)
     payload = {
         "n": args.n,
         "m": m,
@@ -172,27 +159,25 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
             }
             for r in f_top
         ],
-        "padded_records": [
-            record_payload(CompactRecord(r.i, _compact_padded(r.degree, args.n), r.rank), args.n)
-            for r in low
-        ],
+        "padded_records": [record_payload(pad_record(r, args.n), args.n)
+                           for t in range(1, m) for r in sorted(f_levels[t].F())],
     }
-    if total <= MATERIALIZE_LIMIT:
+    try:
         payload["records"] = [record_payload(r, args.n)
                               for r in compose_betti(ideal, args.n, f_levels=f_levels)]
-    if not carry_ranks:
-        for key in ("records", "f_records", "padded_records"):
+    except SizeCapError:
+        pass  # too many to list: the families describe them
+    if report.notes:
+        print("warning: carried ranks are not stable; emitting positions only",
+              file=sys.stderr)
+        for note in report.notes:
+            print(f"warning: {note}", file=sys.stderr)
+        for key in ("records", "f_records", "padded_records", "families"):
             for entry in payload.get(key, []):
                 entry.pop("rank", None)
-        for entry in payload["families"]:
-            entry.pop("rank", None)
-        payload["rank_warnings"] = warnings
+        payload["rank_warnings"] = list(report.notes)
     _print_json(payload, out)
     return EXIT_OK
-
-
-def _compact_padded(degree: tuple[int, ...], n: int):
-    return CompactDegree(degree, 0, 0, n - len(degree))
 
 
 def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
@@ -296,17 +281,9 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
         lift = check_positive_lift(ideal, n, bs(n), bs(n + 1))
         report(f"positive-degree lift at level {n}", lift.passed, lift.counterexamples)
 
-    f_levels = {t: bs(t) for t in range(1, m + 1)}
     for n in range(m, min(top, m + 2) + 1):
-        composed = compose_betti(ideal, n, f_levels=f_levels)
-        comp_positions = {(r.i, r.degree.expand()) for r in composed}
-        direct_positions = bs(n).positions()
-        diff = comp_positions ^ direct_positions
-        report(
-            f"stable composition agreement at level {n}",
-            not diff,
-            [f"position {p} on one side only" for p in sorted(diff)],
-        )
+        comp = check_stable_composition(ideal, n, {t: bs(t) for t in range(1, m + 1)}, bs(n))
+        report(f"stable composition agreement at level {n}", comp.passed, comp.counterexamples)
 
     n_cmp = min(top, m)
     recs0 = {(r.i, r.degree): r.rank for r in bs(n_cmp, 0).records}
@@ -355,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ex = sub.add_parser("extrapolate", help="compact level-N positions from one finite computation")
     common(p_ex, needs_n=True)
-    p_ex.add_argument("--no-rank-check", action="store_true",
-                      help="skip the empirical rank stability check")
 
     p_seg = sub.add_parser("segments", help="base positions and segment starts of the stable tables")
     common(p_seg)

@@ -1,16 +1,31 @@
 """Stable shape of the Betti tables across the whole family.
 
-Once the number of variables reaches the largest generator length m, each
-all-positive record spawns a new one per extra variable: the homological
-degree goes up by one and the smallest entry is repeated once more.  From the
-finitely many records at levels 1..m this module produces, for every larger
-level, the full position set, the graded table as a union of line segments,
-and closed forms for projective dimension and regularity.
+Let m be the largest generator length.  The stable shift sends a record
+(i, a) with all-positive a = (a_1..a_m) at level m to
+
+    (i + k, (a_1..a_{m-1}, a_m repeated 1 + k times)),   k >= 0.
+
+Every record of level n >= m is such a shift with k <= n - m, or an
+all-positive record of a level t < m, padded with zeros to n variables.
+`shift_record` and `pad_record` build the two forms; every composed or
+extrapolated table here is made of them.
+
+In the graded table a level-m record (i, a) starts the segment of cells
+(i + k, j + c k), 0 <= k <= n - m, with j = |a| - i and c = a_m - 1; the
+level m - 1 table adds the base cells.  So pd and reg at level n are maxima
+over the base cells and the segment ends (k = n - m) alone.  With slope
+w - 1 (w the smallest first part) and intercept the largest j - (w - 1) m
+over starts of that slope, reg(n) = (w - 1) n + intercept holds exactly from
+
+    max(m, ceil((j - intercept) / (w - 1)) over base cells,
+        ceil((j - c m - intercept) / (w - 1 - c)) over starts with c < w - 1)
+
+on (from m when w = 1).  Ranks are carried along the shift unchanged;
+positions are a theorem, ranks are checked (`check_stable_composition`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .betti import BettiRecord, BettiSet, betti_set
@@ -126,12 +141,10 @@ class CompactRecord:
 
 @dataclass
 class SegmentSet:
-    """Start-and-slope description of every stabilized graded Betti table.
+    """Base cells and segment starts (i, j, c) of the stable graded tables.
 
-    From level m on, the nonzero table cells are the base cells (the level
-    m - 1 table) together with one segment per start triple (i, j, c): the
-    cells (i + k, j + c k) for k = 0 .. n - m.  `rank_sums` keeps the total
-    rank behind each collapsed triple.
+    See the module docstring; `rank_sums` keeps the total rank behind each
+    collapsed start.
     """
 
     base: frozenset[tuple[int, int]]
@@ -147,17 +160,21 @@ class SegmentSet:
             positions.update((i + k, j + c * k) for k in range(n - self.m + 1))
         return positions
 
-    def pd_value(self, n: int) -> int:
-        positions = self.graded_positions(n)
-        if not positions:
+    def _end_cells(self, n: int) -> list[tuple[int, int]]:
+        """The base cells and each segment's last cell at level n: they hold pd and reg."""
+        if n < self.m:
+            raise ValueError(f"level {n} is below the stabilization level {self.m}")
+        k = n - self.m
+        cells = [*self.base, *((i + k, j + c * k) for (i, j, c) in self.starts)]
+        if not cells:
             raise ZeroIdealError("no positions")
-        return max(i for i, _ in positions)
+        return cells
+
+    def pd_value(self, n: int) -> int:
+        return max(i for i, _ in self._end_cells(n))
 
     def reg_value(self, n: int) -> int:
-        positions = self.graded_positions(n)
-        if not positions:
-            raise ZeroIdealError("no positions")
-        return max(j for _, j in positions)
+        return max(j for _, j in self._end_cells(n))
 
 
 # JSON payloads of records, record sets and segment sets.  A degree travels in
@@ -239,12 +256,26 @@ class AsymptoticProfile:
         return self.reg_slope * n + self.reg_intercept
 
 
+# compose_betti refuses, and extrapolate omits, more records than this
+MATERIALIZE_LIMIT = 100_000
+
+
+def shift_record(record, k: int, zeros: int = 0) -> CompactRecord:
+    """The all-positive record (i, a) moved k steps along the stable shift, then zero padded."""
+    a = record.degree
+    return CompactRecord(record.i + k, CompactDegree(a[:-1], a[-1], 1 + k, zeros), record.rank)
+
+
+def pad_record(record, n: int) -> CompactRecord:
+    """A record of a level below n, zero padded to n variables."""
+    return CompactRecord(record.i, CompactDegree(record.degree, 0, 0, n - len(record.degree)),
+                         record.rank)
+
+
 def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[CompactRecord, ...]:
     """Push the all-positive records from the stabilization level out to n variables.
 
-    Each record (i, (a_1..a_m)) becomes (i + n - m, (a_1..a_{m-1}, a_m repeated
-    1 + n - m times)).  Ranks are carried along unchanged; position correctness
-    is a theorem, rank correctness is checked separately (rank_stability_report).
+    Each record moves n - m steps along the stable shift, ranks unchanged.
     """
     records = sorted(f_records)
     if not records:
@@ -261,53 +292,38 @@ def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[C
         raise ValueError(f"target level {n} is below the source level {m}")
     if any(r.degree[-1] < 1 for r in records):
         raise ValueError("extrapolation needs all-positive degrees")
-    return tuple(
-        CompactRecord(r.i + n - m,
-                      CompactDegree(r.degree[:-1], r.degree[-1], 1 + n - m, 0),
-                      r.rank)
-        for r in records
-    )
+    return tuple(shift_record(r, n - m) for r in records)
 
 
-def compose_betti(ideal: SymmetricIdeal, n: int, f_levels=None,
-                  processes: int = 1, cap: int = 500_000) -> tuple[CompactRecord, ...]:
+def record_count(f_levels, n: int, m: int) -> int:
+    """How many records compose_betti assembles at level n, without building them."""
+    return (n - m + 1) * len(f_levels[m].F()) + sum(len(f_levels[t].F()) for t in range(1, m))
+
+
+def compose_betti(ideal: SymmetricIdeal, n: int, f_levels) -> tuple[CompactRecord, ...]:
     """All nonzero positions of the level-n ideal assembled from levels 1..m.
 
     Low levels contribute their all-positive records padded with zeros; the
-    stabilization level contributes one record per extra repetition of its
-    smallest entry.  Ranks are carried from the source records.
+    stabilization level contributes each record shifted 0..n - m steps.
+    Ranks are carried from the source records.
     """
     m = ideal.max_length
     if n < m:
         raise ValueError(f"level {n} is below the stabilization level {m}")
-    if f_levels is None:
-        f_levels = {t: betti_set(ideal, t, processes=processes) for t in range(1, m + 1)}
-    f_top = sorted(f_levels[m].F())
-    total = (n - m + 1) * len(f_top) + sum(len(f_levels[t].F()) for t in range(1, m))
-    if total > cap:
-        raise SizeCapError(
-            f"{total} records would be materialized (cap {cap}); "
-            "use the family description instead"
-        )
-    out = []
-    for t in range(1, m):
-        for r in sorted(f_levels[t].F()):
-            out.append(CompactRecord(r.i, CompactDegree(r.degree, 0, 0, n - t), r.rank))
-    for r in f_top:
-        prefix, rep = r.degree[:-1], r.degree[-1]
-        for k in range(m, n + 1):
-            out.append(CompactRecord(r.i + k - m,
-                                     CompactDegree(prefix, rep, 1 + k - m, n - k),
-                                     r.rank))
+    total = record_count(f_levels, n, m)
+    if total > MATERIALIZE_LIMIT:
+        raise SizeCapError(f"{total} records would be materialized (cap {MATERIALIZE_LIMIT}); "
+                           "use the family description instead")
+    out = [pad_record(r, n) for t in range(1, m) for r in f_levels[t].F()]
+    out += [shift_record(r, k, n - m - k) for r in f_levels[m].F() for k in range(n - m + 1)]
     return tuple(sorted(out))
 
 
 def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None) -> SegmentSet:
     """Segment description of the graded tables from the stabilization level on.
 
-    Every all-positive record (i, a) at level m starts one segment at cell
-    (i, |a| - i) with slope a_m - 1; duplicate triples are collapsed into one
-    start but their ranks are accumulated in rank_sums.
+    Each all-positive record (i, a) at level m gives the start (i, |a| - i,
+    a_m - 1); records that give the same start add their ranks in rank_sums.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no segment description")
@@ -346,8 +362,10 @@ def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> Asympto
         threshold = m
     else:
         intercept = max(j - slope * m for (_, j, c) in seg.starts if c == slope)
-        threshold = next(
-            n for n in itertools.count(m) if seg.reg_value(n) == slope * n + intercept
+        threshold = max(
+            [m]
+            + [-((intercept - j) // slope) for (_, j) in seg.base]
+            + [-((intercept + c * m - j) // (slope - c)) for (_, j, c) in seg.starts if c < slope]
         )
     return AsymptoticProfile(
         pd_offset=m - pd_at_m,
@@ -421,33 +439,37 @@ def check_positive_lift(ideal: SymmetricIdeal, n: int,
     return CheckReport(not bad, tuple(bad))
 
 
-def rank_stability_report(ideal: SymmetricIdeal, extra_levels: int = 2,
-                          f_levels=None, processes: int = 1) -> CheckReport:
-    """Composed tables against direct computation at the first few stable levels.
+def check_stable_composition(ideal: SymmetricIdeal, n: int, f_levels,
+                             direct: BettiSet) -> CheckReport:
+    """The level-n records composed from levels 1..m against a direct computation.
 
-    Position agreement is required (`passed`); carried ranks are compared as
-    well and any disagreements are reported in `notes` rather than failing,
-    since rank preservation under the shift is an observation, not a theorem.
+    Positions must agree (`counterexamples`).  Carried ranks that differ from
+    the direct ones go in `notes` and do not fail the check: rank preservation
+    under the shift is an observation, not a theorem.
     """
-    m = ideal.max_length
-    if f_levels is None:
-        f_levels = {t: betti_set(ideal, t, processes=processes) for t in range(1, m + 1)}
-    bad = []
-    notes = []
-    for n in range(m, m + extra_levels + 1):
-        direct = f_levels[m] if n == m else betti_set(ideal, n, processes=processes)
-        composed = compose_betti(ideal, n, f_levels=f_levels)
-        comp = {(r.i, r.degree.expand()): r.rank for r in composed}
-        ref = {(r.i, r.degree): r.rank for r in direct.B()}
-        for key in sorted(set(comp) ^ set(ref)):
-            side = "composed" if key in comp else "direct"
-            bad.append(f"level {n}: position {key} only on the {side} side")
-        for key in sorted(set(comp) & set(ref)):
-            if comp[key] != ref[key]:
-                notes.append(
-                    f"level {n}: rank at {key} is {ref[key]} directly, {comp[key]} carried"
-                )
+    composed = {(r.i, r.degree.expand()): r.rank for r in compose_betti(ideal, n, f_levels)}
+    ref = {(r.i, r.degree): r.rank for r in direct.records}
+    bad = [f"level {n}: position {key} only on the "
+           f"{'composed' if key in composed else 'direct'} side"
+           for key in sorted(composed.keys() ^ ref.keys())]
+    notes = [f"level {n}: rank at {key} is {ref[key]} directly, {composed[key]} carried"
+             for key in sorted(composed.keys() & ref.keys()) if composed[key] != ref[key]]
     return CheckReport(not bad, tuple(bad), tuple(notes))
+
+
+def rank_stability_report(ideal: SymmetricIdeal, f_levels, extra_levels: int = 2,
+                          processes: int = 1) -> CheckReport:
+    """`check_stable_composition` at levels m..m + extra_levels, in one report."""
+    m = ideal.max_length
+    reports = [
+        check_stable_composition(
+            ideal, n, f_levels,
+            f_levels[m] if n == m else betti_set(ideal, n, processes=processes))
+        for n in range(m, m + extra_levels + 1)
+    ]
+    return CheckReport(all(reports),
+                       tuple(c for r in reports for c in r.counterexamples),
+                       tuple(note for r in reports for note in r.notes))
 
 
 def length_two_closed_form(ideal: SymmetricIdeal, n: int) -> frozenset[BettiRecord]:

@@ -17,7 +17,9 @@ from symbetti import (
     betti_set,
     betti_set_from_payload,
     betti_set_payload,
+    compose_betti,
     graded_table,
+    parse_ideal_file,
     parse_ideal_text,
     segment_set_from_payload,
     segment_set_payload,
@@ -175,7 +177,7 @@ class TestCommands:
         path = write_ideal(
             tmp_path, {"generators": [[1, 1, 1, 1], [2, 2, 2], [3, 3], [4]]})
         code, out = run(["extrapolate", "--ideal", path, "--n", "8",
-                         "--parallel", "1", "--no-rank-check"])
+                         "--parallel", "1"])
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["record_count"] == 47
@@ -185,7 +187,7 @@ class TestCommands:
     def test_extrapolate_huge_level_uses_families(self, tmp_path):
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
         code, out = run(["extrapolate", "--ideal", path, "--n", "1000000",
-                         "--parallel", "1", "--no-rank-check"])
+                         "--parallel", "1"])
         assert code == EXIT_OK
         payload = json.loads(out)
         assert "records" not in payload
@@ -287,6 +289,23 @@ class TestCommands:
         assert "composed positions disagree" in err
         assert "counterexample: level 3: position (0, (5, 1, 0))" in err
 
+    def test_verify_composition_failure(self, tmp_path, monkeypatch):
+        import symbetti.stability as stability
+
+        real = stability.compose_betti
+
+        def drop_51(ideal, n, f_levels):
+            return tuple(r for r in real(ideal, n, f_levels) if r.degree.expand() != (5, 1))
+
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        monkeypatch.setattr(stability, "compose_betti", drop_51)
+        code, out = run(["verify", "--ideal", path, "--max-n", "2", "--parallel", "1"])
+        assert code == EXIT_VERIFY
+        lines = out.splitlines()
+        at = lines.index("FAIL stable composition agreement at level 2")
+        assert lines[at + 1] == ("  counterexample: level 2: position (0, (5, 1))"
+                                 " only on the direct side")
+
     def test_asymptotics_slope_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
         import symbetti.stability as stability
 
@@ -299,3 +318,39 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "segment slopes top out at 3, expected 1" in err
         assert "counterexample: segment start (0, 4, 3)" in err
+
+
+def family_records(family, n):
+    """The records a family stands for: the start shifted 0 .. repeat_max - 1 steps."""
+    prefix, value = family["prefix"], family["repeated_value"]
+    return {(family["i_start"] + count - 1,
+             tuple(prefix + [value] * count + [0] * (n - len(prefix) - count)))
+            for count in range(family["repeat_min"], family["repeat_max"] + 1)}
+
+
+@pytest.mark.parametrize("fixture", ["J", "tree4", "permutohedron4"])
+def test_extrapolate_views_agree(fixture, bs):
+    path = str(pathlib.Path(__file__).resolve().parent.parent / "ideals" / f"{fixture}.json")
+    ideal = parse_ideal_file(path)
+    m = ideal.max_length
+    levels = {t: bs(ideal, t) for t in range(1, m + 1)}
+    for n in (m, m + 1, m + 2, m + 3, 20):
+        code, out = run(["extrapolate", "--ideal", path, "--n", str(n), "--parallel", "1"])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        records = payload["records"]
+        assert len(records) == payload["record_count"]
+        composed = [record_payload(r, n) for r in compose_betti(ideal, n, f_levels=levels)]
+        if "rank_warnings" in payload:
+            for entry in composed:
+                entry.pop("rank")
+        assert records == composed
+        for entry in payload["f_records"] + payload["padded_records"]:
+            assert entry in records
+        positions = {(e["i"], tuple(e["degree"])) for e in records}
+        padded = {(e["i"], tuple(e["degree"])) for e in payload["padded_records"]}
+        expanded = [family_records(f, n) for f in payload["families"]]
+        assert sum(len(e) for e in expanded) + len(padded) == len(positions)
+        assert set().union(padded, *expanded) == positions
+        ends = {(e["i"], tuple(e["degree"])) for e in payload["f_records"]}
+        assert ends == {max(e) for e in expanded}

@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from symbetti import (
     BettiRecord,
     CompactDegree,
     CompactRecord,
+    SegmentSet,
     SymmetricIdeal,
     ZeroIdealError,
     asymptotics,
@@ -175,6 +178,60 @@ class TestAsymptotics:
     def test_zero_ideal_rejected(self):
         with pytest.raises(ZeroIdealError):
             asymptotics(SymmetricIdeal(frozenset()))
+
+
+def reference_pd_reg(seg, n):
+    """pd and reg read off every stable table cell at level n."""
+    cells = seg.graded_positions(n)
+    return max(i for i, _ in cells), max(j for _, j in cells)
+
+
+def reference_threshold(seg, prof):
+    """First level from m on where reg meets its line, found by scanning."""
+    return next(n for n in itertools.count(seg.m)
+                if reference_pd_reg(seg, n)[1] == prof.reg_at(n))
+
+
+def assert_closed_forms(ideal, seg):
+    prof = asymptotics(ideal, seg)
+    assert prof.threshold == reference_threshold(seg, prof)
+    for n in range(seg.m, seg.m + 25):
+        assert (seg.pd_value(n), seg.reg_value(n)) == reference_pd_reg(seg, n)
+    return prof
+
+
+partitions = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+antichains = st.lists(partitions, min_size=1, max_size=4).map(SymmetricIdeal.from_parts)
+
+
+class TestClosedForms:
+    def test_fixtures(self, ideal_j, ideal_tree, ideal_perm, ideal_rp2, bs):
+        for ideal in (ideal_j, ideal_tree, ideal_perm, ideal_rp2):
+            m = ideal.max_length
+            assert_closed_forms(ideal, segments(ideal, f_top=bs(ideal, m).F(),
+                                                bs_below=bs(ideal, m - 1)))
+
+    def test_threshold_above_stabilization(self):
+        # reg stays 9 (base cell (1, 9), start (2, 9, 0)) until the line n + 1 meets it
+        ideal = SymmetricIdeal.from_parts([[2, 1, 1], [5]])
+        prof = assert_closed_forms(ideal, segments(ideal))
+        assert (prof.stabilization_level, prof.threshold) == (3, 8)
+
+    def test_base_cell_above_the_line(self, ideal_j, bs):
+        # no ideal tried needs the base term; a made-up base cell (0, 20) does
+        seg = segments(ideal_j, f_top=bs(ideal_j, 2).F(), bs_below=bs(ideal_j, 1))
+        seg = SegmentSet(frozenset({(0, 20)}), seg.starts, seg.m, seg.rank_sums)
+        assert assert_closed_forms(ideal_j, seg).threshold == 16
+
+    @given(antichains)
+    def test_random_antichains(self, ideal):
+        assert_closed_forms(ideal, segments(ideal))
+
+    def test_below_stabilization_rejected(self, ideal_tree, bs):
+        seg = segments(ideal_tree, f_top=bs(ideal_tree, 4).F(), bs_below=bs(ideal_tree, 3))
+        with pytest.raises(ValueError):
+            seg.pd_value(3)
 
 
 class TestStableColumnCount:
