@@ -59,6 +59,7 @@ from .ideals import (
     _as_parts,
     candidate_degrees,
     contains_monomial,
+    encode_runs,
     orbit_size,
     restrict_to_n,
 )
@@ -157,15 +158,9 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     docstring for the box rule.
     """
     a = sorted(a, reverse=True)
-    values, sizes = [], []
-    for e in a:
-        if e <= 0:
-            break
-        if values and values[-1] == e:
-            sizes[-1] += 1
-        else:
-            values.append(e)
-            sizes.append(1)
+    blocks = encode_runs((e, 1) for e in a if e > 0)
+    values = [v for v, _ in blocks]
+    sizes = [s for _, s in blocks]
     boxes = set()
     for g in gens:
         parts = _as_parts(g)

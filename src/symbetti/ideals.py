@@ -220,6 +220,19 @@ def orbit_size(a: Sequence[int], n: int | None = None) -> int:
     return math.factorial(n) // denom
 
 
+def encode_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Merge (value, count) pairs into maximal runs [[value, count], ...]; zero counts drop."""
+    out: list[list[int]] = []
+    for v, c in pairs:
+        if not c:
+            continue
+        if out and out[-1][0] == v:
+            out[-1][1] += c
+        else:
+            out.append([v, c])
+    return out
+
+
 def candidate_degrees(ideal: SymmetricIdeal, n: int,
                       prune_same_support: bool = True) -> list[tuple[int, ...]]:
     """Sorted exponent vectors that can carry a nonzero Betti number at level n.

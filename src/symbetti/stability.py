@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .betti import BettiRecord, BettiSet, betti_set
 # not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
 from .betti import pd_and_reg  # noqa: F401
-from .ideals import SymmetricIdeal, ZeroIdealError
+from .ideals import SymmetricIdeal, ZeroIdealError, encode_runs
 
 
 class SizeCapError(ValueError):
@@ -114,20 +114,8 @@ class CompactDegree:
 
     def runs(self) -> list[list[int]]:
         """Run-length encoding [[value, count], ...] without expanding."""
-        out: list[list[int]] = []
-        for v in self.prefix:
-            if out and out[-1][0] == v:
-                out[-1][1] += 1
-            else:
-                out.append([v, 1])
-        for v, c in ((self.repeated_value, self.repeat_count), (0, self.zero_count)):
-            if not c:
-                continue
-            if out and out[-1][0] == v:
-                out[-1][1] += c
-            else:
-                out.append([v, c])
-        return out
+        return encode_runs([*((v, 1) for v in self.prefix),
+                            (self.repeated_value, self.repeat_count), (0, self.zero_count)])
 
 
 @dataclass(frozen=True, order=True)
@@ -319,7 +307,8 @@ def compose_betti(ideal: SymmetricIdeal, n: int, f_levels) -> tuple[CompactRecor
     return tuple(sorted(out))
 
 
-def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None) -> SegmentSet:
+def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None,
+             processes: int = 1) -> SegmentSet:
     """Segment description of the graded tables from the stabilization level on.
 
     Each all-positive record (i, a) at level m gives the start (i, |a| - i,
@@ -329,9 +318,10 @@ def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None) -> SegmentSet:
         raise ZeroIdealError("the zero ideal has no segment description")
     m = ideal.max_length
     if f_top is None:
-        f_top = betti_set(ideal, m).F()
+        f_top = betti_set(ideal, m, processes=processes).F()
     if bs_below is None:
-        bs_below = betti_set(ideal, m - 1) if m >= 2 else BettiSet(0, frozenset())
+        bs_below = (betti_set(ideal, m - 1, processes=processes) if m >= 2
+                    else BettiSet(0, frozenset()))
     base = frozenset(bs_below.graded_positions())
     sums: dict[tuple[int, int, int], int] = {}
     for r in f_top:
@@ -408,18 +398,16 @@ def check_shift_equivalence(ideal: SymmetricIdeal, n: int,
         bs_n = betti_set(ideal, n)
     if bs_next is None:
         bs_next = betti_set(ideal, n + 1)
-    f_n = {(r.i, r.degree) for r in bs_n.F()}
+    lifts = {}  # (i + 1, a with a_m repeated) -> (i, a)
+    for r in sorted(bs_n.F()):
+        lifted = shift_record(r, 1)
+        lifts[(lifted.i, lifted.degree.expand())] = (r.i, r.degree)
     f_next = {(r.i, r.degree) for r in bs_next.F()}
-    bad = []
-    for (i, a) in sorted(f_n):
-        target = (i + 1, a + (a[-1],))
-        if target not in f_next:
-            bad.append(f"missing lift: {(i, a)} should give {target} one level up")
+    bad = [f"missing lift: {source} should give {target} one level up"
+           for target, source in lifts.items() if target not in f_next]
     for (i, a) in sorted(f_next):
-        if len(a) >= 2 and a[-1] == a[-2]:
-            source = (i - 1, a[:-1])
-            if source not in f_n:
-                bad.append(f"spurious record {(i, a)}: no source {source} one level down")
+        if len(a) >= 2 and a[-1] == a[-2] and (i, a) not in lifts:
+            bad.append(f"spurious record {(i, a)}: no source {(i - 1, a[:-1])} one level down")
     return CheckReport(not bad, tuple(bad))
 
 

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from symbetti import (
     betti_set,
     betti_set_from_payload,
     betti_set_payload,
+    candidate_degrees,
     compose_betti,
     graded_table,
     parse_ideal_file,
@@ -151,6 +153,24 @@ class TestCommands:
         assert "reg(I_n) = n + 4 (n >= 2)" in out
         assert "CM: false" in out
 
+    def test_segments_and_asymptotics_honour_parallel(self, tmp_path, monkeypatch):
+        import symbetti.stability as stability
+
+        real = stability.betti_set
+        seen = []
+
+        def spy(ideal, n, processes=1):
+            seen.append((n, processes))
+            return real(ideal, n, processes=processes)
+
+        monkeypatch.setattr(stability, "betti_set", spy)
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        for command in ("segments", "asymptotics"):
+            seen.clear()
+            code, _ = run([command, "--ideal", path, "--parallel", "2"])
+            assert code == EXIT_OK
+            assert sorted(seen) == [(1, 2), (2, 2)]
+
     def test_python_dash_m(self):
         # symbetti.cli warns under -m if the package has imported it already
         root = pathlib.Path(__file__).resolve().parent.parent
@@ -249,15 +269,50 @@ class TestCommands:
         assert code == EXIT_INPUT
 
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch):
-        # simulate a broken backend so the suite reports a failure
+        # simulate a broken reference route so the suite reports a failure
         import symbetti.cli as cli
 
         path = write_ideal(tmp_path, {"generators": [[2, 1]]})
-        monkeypatch.setattr(cli, "euler_characteristic_check",
-                            lambda cx, field=0: False)
+        monkeypatch.setattr(cli, "bitmask_betti_dims",
+                            lambda gens, characteristic, a: {0: 7})
         code, out = run(["verify", "--ideal", path, "--max-n", "3", "--parallel", "1"])
         assert code == EXIT_VERIFY
-        assert "FAIL" in out
+        assert "FAIL homology consistency at level 2" in out
+
+    def test_verify_computes_each_table_once(self, tmp_path, monkeypatch):
+        import symbetti.betti as betti
+        import symbetti.cli as cli
+
+        real_set, real_dims = cli.betti_set, betti._betti_dims
+        real_complex = betti.upper_koszul_complex
+        tables, dims_calls, complexes = [], Counter(), Counter()
+
+        def spy_set(ideal, n, processes=1):
+            tables.append((n, ideal.characteristic))
+            return real_set(ideal, n, processes=processes)
+
+        def spy_dims(gens, characteristic, a):
+            dims_calls[(characteristic, tuple(a))] += 1
+            return real_dims(gens, characteristic, a)
+
+        def spy_complex(gens, a):
+            complexes[tuple(a)] += 1
+            return real_complex(gens, a)
+
+        monkeypatch.setattr(cli, "betti_set", spy_set)
+        monkeypatch.setattr(betti, "_betti_dims", spy_dims)
+        monkeypatch.setattr(betti, "upper_koszul_complex", spy_complex)
+        monkeypatch.setattr(cli, "upper_koszul_complex", spy_complex)
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        code, out = run(["verify", "--ideal", path, "--max-n", "4", "--parallel", "1"])
+        assert code == EXIT_OK
+        assert sorted(tables) == [(1, 0), (2, 0), (2, 2), (3, 0), (4, 0)]
+        ideal = parse_ideal_file(path)
+        # one profile computation per candidate of each table, nothing else
+        assert dims_calls == Counter(
+            (p, a) for n, p in tables for a in candidate_degrees(ideal, n))
+        # one K^a per candidate at level m = 2, for the reference side only
+        assert complexes == Counter(candidate_degrees(ideal, 2))
 
     def test_verify_profile_mismatch_exit_code(self, tmp_path, monkeypatch):
         import symbetti.betti as betti
@@ -307,10 +362,10 @@ class TestCommands:
                                  " only on the direct side")
 
     def test_asymptotics_slope_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
-        import symbetti.stability as stability
+        import symbetti.cli as cli
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
-        monkeypatch.setattr(stability, "segments", lambda ideal: SegmentSet(
+        monkeypatch.setattr(cli, "segments", lambda ideal, processes=1: SegmentSet(
             frozenset(), frozenset({(0, 4, 3)}), 2, {(0, 4, 3): 1}))
         code, out = run(["asymptotics", "--ideal", path, "--parallel", "1"])
         assert code == EXIT_VERIFY
