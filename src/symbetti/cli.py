@@ -354,6 +354,8 @@ def main(argv=None, out=None) -> int:
             ideal = replace(ideal, characteristic=args.characteristic)
         if getattr(args, "n", None) is not None and args.n < 1:
             raise ValueError("--n must be positive")
+        if getattr(args, "max_n", None) is not None and args.max_n < 1:
+            raise ValueError("--max-n must be positive")
         if args.command == "betti":
             return _cmd_betti(ideal, args, out)
         if args.command == "extrapolate":

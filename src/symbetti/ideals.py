@@ -233,39 +233,33 @@ def encode_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return out
 
 
-def candidate_degrees(ideal: SymmetricIdeal, n: int,
-                      prune_same_support: bool = True) -> list[tuple[int, ...]]:
+def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     """Sorted exponent vectors that can carry a nonzero Betti number at level n.
 
-    Entries are drawn from the generator parts (plus zero), the monomial must
-    lie in the ideal, and the repeated-tail shape forced by symmetry is
-    enforced: with m the largest generator length, any degree supported on
-    t > m positions must repeat its m-th entry through position t.  The
-    optional last filter drops degrees where some orbit generator divides
-    without shrinking the support (those are always acyclic); disabling it
-    only adds harmless acyclic candidates.
+    The repeated-tail shape forced by symmetry is generated, not filtered
+    for: with m the largest generator length, a degree supported on t
+    positions is a weakly decreasing head of min(t, m) generator parts, its
+    last entry repeated through position t, then zeros.  A degree is kept
+    when its monomial lies in the ideal and no orbit generator divides it
+    without shrinking the support (such degrees are always acyclic).  Past
+    t = m the heads no longer grow, so the count grows linearly in n.
     """
     gens = restrict_to_n(ideal, n)
     if not gens:
         return []
-    pool = sorted({0} | {p for g in gens for p in g.parts}, reverse=True)
+    parts = sorted({p for g in gens for p in g.parts}, reverse=True)
     m = max(g.length for g in gens)
     out = []
-    for a in itertools.combinations_with_replacement(pool, n):
-        # pool is sorted descending, so each tuple is weakly decreasing
-        if not any(dominates(a, g) for g in gens):
-            continue
-        t = sum(1 for e in a if e > 0)
-        if t > m and a[m - 1] > a[t - 1]:
-            continue
-        if prune_same_support and _divisor_with_same_support(gens, a, t):
-            continue
-        out.append(a)
-    return out
-
-
-def _divisor_with_same_support(gens, a, t) -> bool:
-    # Some permuted generator fits under a with every support entry lowered by
-    # at most a_i - 1, i.e. divides x^a without killing any variable.
-    interior = tuple(e - 1 for e in a[:t])
-    return any(dominates(interior, g) for g in gens)
+    for t in range(1, n + 1):
+        for head in itertools.combinations_with_replacement(parts, min(t, m)):
+            support = head + head[-1:] * (t - len(head))
+            a = support + (0,) * (n - t)
+            if not any(dominates(a, g) for g in gens):
+                continue
+            # a generator that fits under support - 1 divides x^a without
+            # killing any variable
+            interior = tuple(e - 1 for e in support)
+            if any(dominates(interior, g) for g in gens):
+                continue
+            out.append(a)
+    return sorted(out, reverse=True)

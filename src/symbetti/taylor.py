@@ -11,6 +11,7 @@ falsification power, not speed.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .homology import chain_homology
 # not called here, but perfbench/tracer.py wraps symbetti.taylor.rank_over_field
@@ -89,7 +90,7 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
     a = tuple(a)
     divisors = tuple(sorted(
         g for g in generators
-        if len(g) == len(a) and all(x <= y for x, y in zip(g, a))
+        if len(g) == len(a) and all(map(operator.le, g, a))
     ))
     if len(divisors) > GENERATOR_CAP:
         raise GeneratorCapError(

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import settings
 
 from symbetti import SymmetricIdeal, betti_set, minimal_generators
-from symbetti.ideals import Partition
+from symbetti.ideals import Partition, dominates, restrict_to_n
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -59,6 +60,33 @@ def bs():
         return cache[key]
 
     return compute
+
+
+def reference_candidates(ideal, n, prune_same_support=True):
+    """Reference for `candidate_degrees` by filtering every weakly decreasing n-tuple.
+
+    Tuples over the generator parts plus zero are kept when they lie in the
+    ideal and have the repeated-tail shape.  With the prune off it also
+    keeps the degrees where a generator divides without shrinking the
+    support, which are acyclic.
+    """
+    gens = restrict_to_n(ideal, n)
+    if not gens:
+        return []
+    pool = sorted({0} | {p for g in gens for p in g.parts}, reverse=True)
+    m = max(g.length for g in gens)
+    out = []
+    for a in itertools.combinations_with_replacement(pool, n):
+        if not any(dominates(a, g) for g in gens):
+            continue
+        t = sum(1 for e in a if e > 0)
+        if t > m and a[m - 1] > a[t - 1]:
+            continue
+        interior = tuple(e - 1 for e in a[:t])
+        if prune_same_support and any(dominates(interior, g) for g in gens):
+            continue
+        out.append(a)
+    return out
 
 
 def random_ideal(rng: random.Random, max_gens=3, max_len=3, max_part=5,

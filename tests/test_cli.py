@@ -249,6 +249,14 @@ class TestCommands:
         code, _ = run(["betti", "--ideal", missing, "--n", "2", "--parallel", "1"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("max_n", ["0", "-2"])
+    def test_verify_rejects_nonpositive_max_n(self, tmp_path, capsys, max_n):
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        code, out = run(["verify", "--ideal", path, "--max-n", max_n, "--parallel", "1"])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error[invalid-input]" in capsys.readouterr().err
+
     def test_size_cap_exit(self, tmp_path, capsys):
         # verify's reference check builds K^a on all 15 support positions
         path = write_ideal(tmp_path, {"generators": [[1] * 15]})

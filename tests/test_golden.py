@@ -23,6 +23,7 @@ COMMANDS = (
     ("betti", "--format", "json", "--n", "6", "--characteristic", "0"),
     ("betti", "--format", "json", "--n", "6", "--characteristic", "2"),
     ("betti", "--format", "json", "--n", "6", "--characteristic", "3"),
+    ("betti", "--format", "json", "--n", "12", "--characteristic", "0"),
     ("segments", "--format", "json"),
     ("asymptotics",),
     ("extrapolate", "--n", "20"),

@@ -18,6 +18,15 @@ from symbetti import (
     restrict_to_n,
 )
 
+from conftest import (
+    J_PARTS,
+    PERM4_PARTS,
+    RP2_PARTS,
+    TREE4_PARTS,
+    random_ideal,
+    reference_candidates,
+)
+
 partitions = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
 )
@@ -181,8 +190,8 @@ class TestCandidateDegrees:
         assert (5, 2, 1) not in cands  # repeated-tail shape violated
 
     def test_unpruned_keeps_acyclic_lattice_points(self, ideal_j):
-        cands = set(candidate_degrees(ideal_j, 2, prune_same_support=False))
-        assert (5, 5) in cands
+        unpruned = set(reference_candidates(ideal_j, 2, prune_same_support=False))
+        assert (5, 5) in unpruned
         assert betti_at_degree(ideal_j, (5, 5)) == {}
         assert (5, 5) not in set(candidate_degrees(ideal_j, 2))
 
@@ -191,16 +200,56 @@ class TestCandidateDegrees:
 
     def test_superset_of_nonzero_degrees(self, ideal_j, ideal_tree):
         rng = random.Random(7)
-        from conftest import random_ideal
-
         ideals = [ideal_j, ideal_tree] + [random_ideal(rng) for _ in range(5)]
         for ideal in ideals:
             max_part = max(g.parts[0] for g in ideal.generators)
             for n in range(1, 4):
                 cands = set(candidate_degrees(ideal, n))
-                unpruned = set(candidate_degrees(ideal, n, prune_same_support=False))
+                unpruned = set(reference_candidates(ideal, n, prune_same_support=False))
                 assert cands <= unpruned
                 for a in itertools.combinations_with_replacement(
                         range(max_part, -1, -1), n):
                     if betti_at_degree(ideal, a):
                         assert a in cands, (ideal.generators, a)
+
+
+antichains = st.lists(partitions, min_size=2, max_size=4).map(
+    lambda ps: SymmetricIdeal.from_parts(p.parts for p in ps))
+
+
+def assert_forced_shape(ideal, n, cands):
+    """Each degree is sorted, in the ideal, drawn from the parts, with its tail repeated past m."""
+    gens = restrict_to_n(ideal, n)
+    parts = {p for g in gens for p in g.parts}
+    m = max(g.length for g in gens)
+    for a in cands:
+        t = sum(1 for e in a if e > 0)
+        assert len(a) == n and list(a) == sorted(a, reverse=True), a
+        assert set(a[:t]) <= parts, a
+        assert t <= m or len(set(a[m - 1:t])) == 1, a
+        assert contains_monomial(gens, a), a
+
+
+class TestCandidateDegreesAgainstWalk:
+    """The shaped enumeration equals the filtered walk, list and order."""
+
+    @pytest.mark.parametrize("parts,top", [
+        (J_PARTS, 20), (TREE4_PARTS, 20), (PERM4_PARTS, 20), (RP2_PARTS, 10)],
+        ids=["J", "tree4", "permutohedron4", "rp2"])
+    def test_fixtures(self, parts, top):
+        ideal = SymmetricIdeal.from_parts(parts)
+        for n in range(1, top + 1):
+            assert candidate_degrees(ideal, n) == reference_candidates(ideal, n), n
+
+    @given(antichains, st.integers(1, 8))
+    def test_random_antichains(self, ideal, n):
+        assert candidate_degrees(ideal, n) == reference_candidates(ideal, n)
+
+    @pytest.mark.parametrize("parts,n,count", [(RP2_PARTS, 40, 6589), (TREE4_PARTS, 100, 1372)],
+                             ids=["rp2-40", "tree4-100"])
+    def test_large_level_count_and_shape(self, parts, n, count):
+        # the counts are those of the filtered walk, checked against it once
+        ideal = SymmetricIdeal.from_parts(parts)
+        cands = candidate_degrees(ideal, n)
+        assert len(cands) == count
+        assert_forced_shape(ideal, n, cands)

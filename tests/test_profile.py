@@ -5,10 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from symbetti import SymmetricIdeal, candidate_degrees, contains_monomial, restrict_to_n
+from symbetti import SymmetricIdeal, contains_monomial, restrict_to_n
 from symbetti.betti import _betti_dims, bitmask_betti_dims, profile_boxes
 
-from conftest import J_PARTS, PERM4_PARTS, RP2_PARTS, TREE4_PARTS
+from conftest import J_PARTS, PERM4_PARTS, RP2_PARTS, TREE4_PARTS, reference_candidates
 
 # Top level per fixture: every level up to it, in three characteristics,
 # fits in about 5 s.
@@ -59,7 +59,7 @@ def test_profile_matches_bitmask_on_fixtures(name, characteristic):
     checked = 0
     for n in range(1, top + 1):
         gens = restrict_to_n(ideal, n)
-        for a in candidate_degrees(ideal, n, prune_same_support=False):
+        for a in reference_candidates(ideal, n, prune_same_support=False):
             assert _betti_dims(gens, characteristic, a) == \
                 bitmask_betti_dims(gens, characteristic, a), (n, a)
             checked += 1
@@ -87,7 +87,7 @@ def test_box_rule_on_fixtures():
         ideal = SymmetricIdeal.from_parts(parts)
         for n in range(1, min(top, 6) + 1):
             gens = restrict_to_n(ideal, n)
-            for a in candidate_degrees(ideal, n, prune_same_support=False):
+            for a in reference_candidates(ideal, n, prune_same_support=False):
                 assert_box_rule(gens, a)
 
 
@@ -100,6 +100,6 @@ def test_box_rule_on_random_ideals(drawn):
 def test_plain_part_tuples_are_accepted(ideal_j):
     gens = restrict_to_n(ideal_j, 3)
     plain = tuple(g.parts for g in gens)
-    for a in candidate_degrees(ideal_j, 3, prune_same_support=False):
+    for a in reference_candidates(ideal_j, 3, prune_same_support=False):
         assert profile_boxes(plain, a) == profile_boxes(gens, a)
         assert _betti_dims(plain, 0, a) == _betti_dims(gens, 0, a)
