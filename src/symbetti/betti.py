@@ -14,9 +14,8 @@ the set P of count vectors that stay in the ideal.
 Box rule.  Lowering entries of block j changes only the number of entries
 >= v_j, so a generator g divides some permutation of x^a / x^F exactly when
 c_j <= u_{g,j} = min(s_j, s_1 + ... + s_j - #{parts of g >= v_j}) for every j,
-provided every u_{g,j} >= 0 and, at each part value x of g that is no block
-value, #{entries of a >= x} >= #{parts of g >= x}.  P is the union of the
-boxes [0, u_g] over the generators that pass (`profile_boxes`).
+provided g divides some permutation of x^a itself (`dominates`).  P is the
+union of the boxes [0, u_g] over the generators that pass (`profile_boxes`).
 
 Formula.  Over every field,
 
@@ -40,6 +39,7 @@ on K^a as the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import multiprocessing
@@ -59,6 +59,7 @@ from .ideals import (
     _as_parts,
     candidate_degrees,
     contains_monomial,
+    dominates,
     encode_runs,
     orbit_size,
     restrict_to_n,
@@ -159,50 +160,86 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """
     a = sorted(a, reverse=True)
     blocks = encode_runs((e, 1) for e in a if e > 0)
-    values = [v for v, _ in blocks]
-    sizes = [s for _, s in blocks]
     boxes = set()
     for g in gens:
         parts = _as_parts(g)
+        if not dominates(a, parts):
+            continue
         box = []
-        total = 0
-        for v, s in zip(values, sizes):
+        total = above = 0
+        for v, s in blocks:
             total += s
-            box.append(min(s, total - sum(1 for p in parts if p >= v)))
-        if box and min(box) >= 0 and all(
-                sum(1 for e in a if e >= x) >= sum(1 for p in parts if p >= x)
-                for x in set(parts).difference(values)):
-            boxes.add(tuple(box))
-    return sizes, sorted(boxes)
+            # the parts are descending, so #{parts >= v} only grows
+            while above < len(parts) and parts[above] >= v:
+                above += 1
+            box.append(min(s, total - above))
+        boxes.add(tuple(box))
+    return [s for _, s in blocks], sorted(boxes)
+
+
+@functools.lru_cache(maxsize=1024)
+def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> dict[int, int]:
+    """Reduced homology of the complex on r vertices generated by `facets`.
+
+    The same few D_h recur at every degree and every level (107 distinct
+    ones for rp2 at n = 9 and at n = 40), so they are ranked once per
+    process; forked pool workers inherit the entries.  Callers must not
+    mutate the result.
+    """
+    return chain_homology(faces_by_dim(SimplicialComplex.from_masks(r, facets)), characteristic)
 
 
 def _betti_dims(gens, characteristic, a) -> dict[int, int]:
     """Nonzero Betti ranks at degree a, by the block-profile formula.
 
     The only complexes built are the D_h, on r vertices (one per block), so
-    the support of a is not capped here.
+    the support of a is not capped here.  D_h depends on h only through the
+    pairs (boxes with h_j <= u_j, boxes with h_j < u_j) over j, as bitmasks
+    over the boxes, so the weights C(s_j - 1, h_j) are summed per such class
+    and shift |h|, and D_h is built once per class.
     """
     sizes, boxes = profile_boxes(gens, a)
     if not boxes:
         return {}
+    r = len(sizes)
+    steps, weights, pairs = [], [], []
+    for j, s in enumerate(sizes):
+        reach = min(s - 1, max(u[j] for u in boxes))
+        # at_least[x]: the boxes with u_j >= x, for x = 0..reach + 1
+        at_least = [0] * (reach + 2)
+        for b, u in enumerate(boxes):
+            at_least[min(u[j], reach + 1)] |= 1 << b
+        for x in range(reach, -1, -1):
+            at_least[x] |= at_least[x + 1]
+        steps.append(range(reach + 1))
+        weights.append([math.comb(s - 1, x) for x in range(reach + 1)])
+        pairs.append([(at_least[x], at_least[x + 1]) for x in range(reach + 1)])
+    classes: dict[tuple, dict[int, int]] = {}
+    for h, w, key in zip(itertools.product(*steps), itertools.product(*weights),
+                         itertools.product(*pairs)):
+        shifts = classes.setdefault(key, {})
+        shift = sum(h)
+        shifts[shift] = shifts.get(shift, 0) + math.prod(w)
     dims: dict[int, int] = {}
-    reach = [min(s - 1, max(u[j] for u in boxes)) for j, s in enumerate(sizes)]
-    for h in itertools.product(*(range(k + 1) for k in reach)):
-        facets = {sum(1 << j for j, (hj, uj) in enumerate(zip(h, u)) if hj < uj)
-                  for u in boxes if all(hj <= uj for hj, uj in zip(h, u))}
+    for key, shifts in classes.items():
+        inside = -1
+        for le, _ in key:
+            inside &= le
+        # facet of box b: the coordinates j where b is in the strict set
+        facets = {sum(1 << j for j, (_, lt) in enumerate(key) if lt >> b & 1)
+                  for b in range(len(boxes)) if inside >> b & 1}
         if not facets:
-            continue
+            continue  # void D_h
         top = 0
         for f in facets:
             top |= f
         if top and top in facets:
             continue  # D_h is a full simplex on at least one vertex: acyclic
-        cx = SimplicialComplex.from_masks(len(sizes), facets)
-        homology = chain_homology(faces_by_dim(cx), characteristic)
-        weight = math.prod(math.comb(s - 1, hj) for s, hj in zip(sizes, h))
-        for d, dim in homology.items():
-            i = d + 1 + sum(h)
-            dims[i] = dims.get(i, 0) + weight * dim
+        homology = _complex_homology(r, frozenset(facets), characteristic)
+        for shift, weight in shifts.items():
+            for d, dim in homology.items():
+                i = d + 1 + shift
+                dims[i] = dims.get(i, 0) + weight * dim
     return dims
 
 

@@ -44,7 +44,9 @@ from .stability import (
     segment_set_payload,
     segments,
 )
-from .taylor import GeneratorCapError, expand_generators, taylor_strand_tor
+from .taylor import GeneratorCapError, dividing_generators, taylor_strand_tor
+# not called here, but perfbench/tracer.py wraps symbetti.cli.expand_generators
+from .taylor import expand_generators  # noqa: F401
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -236,10 +238,12 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
                 grouped[n].setdefault(r.degree, {})[r.i] = r.rank
         return grouped[n]
 
+    # one candidate list per level, shared by the two loops below
+    cands = {n: candidate_degrees(ideal, n) for n in range(1, min(top, m + 1) + 1)}
     level0 = min(top, m)
     gens_level0 = restrict_to_n(ideal, level0)
     bad_complexes = []
-    for a in candidate_degrees(ideal, level0):
+    for a in cands[level0]:
         profile = ranks(level0).get(a, {})
         reference = bitmask_betti_dims(gens_level0, ideal.characteristic, a)
         if profile != reference:
@@ -250,12 +254,9 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
     oracle_bad = []
     oracle_skipped = 0
     for n in range(1, min(top, m + 1) + 1):
-        expanded = expand_generators(ideal, n)
-        if not expanded:
-            continue
-        for a in candidate_degrees(ideal, n):
+        for a in cands[n]:
             try:
-                strand = taylor_strand_tor(expanded, a, ideal.characteristic)
+                strand = taylor_strand_tor(dividing_generators(ideal, a), a, ideal.characteristic)
             except GeneratorCapError:
                 oracle_skipped += 1
                 continue
@@ -356,6 +357,8 @@ def main(argv=None, out=None) -> int:
             raise ValueError("--n must be positive")
         if getattr(args, "max_n", None) is not None and args.max_n < 1:
             raise ValueError("--max-n must be positive")
+        if args.parallel < 1:
+            raise ValueError("--parallel must be positive")
         if args.command == "betti":
             return _cmd_betti(ideal, args, out)
         if args.command == "extrapolate":

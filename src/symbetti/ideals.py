@@ -241,8 +241,10 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     positions is a weakly decreasing head of min(t, m) generator parts, its
     last entry repeated through position t, then zeros.  A degree is kept
     when its monomial lies in the ideal and no orbit generator divides it
-    without shrinking the support (such degrees are always acyclic).  Past
-    t = m the heads no longer grow, so the count grows linearly in n.
+    without shrinking the support (such degrees are always acyclic).  From
+    t = m on both tests read only the head, as no generator is longer than
+    m, so each head kept at t = m is emitted once per t = m..n and the count
+    grows linearly in n.
     """
     gens = restrict_to_n(ideal, n)
     if not gens:
@@ -250,16 +252,15 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     parts = sorted({p for g in gens for p in g.parts}, reverse=True)
     m = max(g.length for g in gens)
     out = []
-    for t in range(1, n + 1):
-        for head in itertools.combinations_with_replacement(parts, min(t, m)):
-            support = head + head[-1:] * (t - len(head))
-            a = support + (0,) * (n - t)
-            if not any(dominates(a, g) for g in gens):
+    for t in range(1, m + 1):
+        for head in itertools.combinations_with_replacement(parts, t):
+            if not any(dominates(head, g) for g in gens):
                 continue
-            # a generator that fits under support - 1 divides x^a without
+            # a generator that fits under head - 1 divides x^a without
             # killing any variable
-            interior = tuple(e - 1 for e in support)
+            interior = tuple(e - 1 for e in head)
             if any(dominates(interior, g) for g in gens):
                 continue
-            out.append(a)
+            tails = range(t, n + 1) if t == m else (t,)
+            out.extend(head + head[-1:] * (u - t) + (0,) * (n - u) for u in tails)
     return sorted(out, reverse=True)

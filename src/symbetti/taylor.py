@@ -40,6 +40,31 @@ def expand_generators(ideal: SymmetricIdeal, n: int) -> tuple[tuple[int, ...], .
     return tuple(sorted(out))
 
 
+def dividing_generators(ideal: SymmetricIdeal, a) -> tuple[tuple[int, ...], ...]:
+    """The minimal monomial generators of the level-len(a) ideal that divide x^a.
+
+    Each partition's parts are placed on the free slots of a that can hold
+    them, equal parts on increasing slots, so only dividing rearrangements
+    are ever produced (`expand_generators` lists all of them).
+    """
+    a = tuple(a)
+    found = set()
+
+    def place(parts, j, v, last):
+        if j == len(parts):
+            found.add(tuple(v))
+            return
+        for k in range(last + 1 if j and parts[j] == parts[j - 1] else 0, len(a)):
+            if not v[k] and a[k] >= parts[j]:
+                v[k] = parts[j]
+                place(parts, j + 1, v, k)
+                v[k] = 0
+
+    for g in restrict_to_n(ideal, len(a)):
+        place(g.parts, 0, [0] * len(a), -1)
+    return tuple(sorted(found))
+
+
 def _subsets_with_lcm(divisors, a):
     """All nonempty subsets of `divisors` (bitmasks) whose componentwise max is a.
 

@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import settings
 
 from symbetti import SymmetricIdeal, betti_set, minimal_generators
-from symbetti.ideals import Partition, dominates, restrict_to_n
+from symbetti.homology import SimplicialComplex, chain_homology, faces_by_dim
+from symbetti.ideals import Partition, _as_parts, dominates, encode_runs, restrict_to_n
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -87,6 +89,53 @@ def reference_candidates(ideal, n, prune_same_support=True):
             continue
         out.append(a)
     return out
+
+
+def reference_profile_boxes(gens, a):
+    """Reference for `profile_boxes`: box entries first, then the part values that are no block value."""
+    a = sorted(a, reverse=True)
+    blocks = encode_runs((e, 1) for e in a if e > 0)
+    values = [v for v, _ in blocks]
+    sizes = [s for _, s in blocks]
+    boxes = set()
+    for g in gens:
+        parts = _as_parts(g)
+        box = []
+        total = 0
+        for v, s in zip(values, sizes):
+            total += s
+            box.append(min(s, total - sum(1 for p in parts if p >= v)))
+        if box and min(box) >= 0 and all(
+                sum(1 for e in a if e >= x) >= sum(1 for p in parts if p >= x)
+                for x in set(parts).difference(values)):
+            boxes.add(tuple(box))
+    return sizes, sorted(boxes)
+
+
+def reference_betti_dims(gens, characteristic, a):
+    """Reference for `_betti_dims`: every box scanned for every h, each D_h built and ranked afresh."""
+    sizes, boxes = reference_profile_boxes(gens, a)
+    if not boxes:
+        return {}
+    dims = {}
+    reach = [min(s - 1, max(u[j] for u in boxes)) for j, s in enumerate(sizes)]
+    for h in itertools.product(*(range(k + 1) for k in reach)):
+        facets = {sum(1 << j for j, (hj, uj) in enumerate(zip(h, u)) if hj < uj)
+                  for u in boxes if all(hj <= uj for hj, uj in zip(h, u))}
+        if not facets:
+            continue
+        top = 0
+        for f in facets:
+            top |= f
+        if top and top in facets:
+            continue  # D_h is a full simplex on at least one vertex: acyclic
+        cx = SimplicialComplex.from_masks(len(sizes), facets)
+        homology = chain_homology(faces_by_dim(cx), characteristic)
+        weight = math.prod(math.comb(s - 1, hj) for s, hj in zip(sizes, h))
+        for d, dim in homology.items():
+            i = d + 1 + sum(h)
+            dims[i] = dims.get(i, 0) + weight * dim
+    return dims
 
 
 def random_ideal(rng: random.Random, max_gens=3, max_len=3, max_part=5,

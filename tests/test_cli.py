@@ -257,6 +257,14 @@ class TestCommands:
         assert out == ""
         assert "error[invalid-input]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parallel", ["0", "-4"])
+    def test_rejects_nonpositive_parallel(self, tmp_path, capsys, parallel):
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        code, out = run(["betti", "--ideal", path, "--n", "3", "--parallel", parallel])
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error[invalid-input]" in capsys.readouterr().err
+
     def test_size_cap_exit(self, tmp_path, capsys):
         # verify's reference check builds K^a on all 15 support positions
         path = write_ideal(tmp_path, {"generators": [[1] * 15]})

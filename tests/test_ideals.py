@@ -245,8 +245,9 @@ class TestCandidateDegreesAgainstWalk:
     def test_random_antichains(self, ideal, n):
         assert candidate_degrees(ideal, n) == reference_candidates(ideal, n)
 
-    @pytest.mark.parametrize("parts,n,count", [(RP2_PARTS, 40, 6589), (TREE4_PARTS, 100, 1372)],
-                             ids=["rp2-40", "tree4-100"])
+    @pytest.mark.parametrize("parts,n,count", [(RP2_PARTS, 40, 6589), (RP2_PARTS, 100, 17749),
+                                               (TREE4_PARTS, 100, 1372)],
+                             ids=["rp2-40", "rp2-100", "tree4-100"])
     def test_large_level_count_and_shape(self, parts, n, count):
         # the counts are those of the filtered walk, checked against it once
         ideal = SymmetricIdeal.from_parts(parts)

@@ -5,10 +5,24 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from symbetti import SymmetricIdeal, contains_monomial, restrict_to_n
-from symbetti.betti import _betti_dims, bitmask_betti_dims, profile_boxes
+from symbetti import (
+    SymmetricIdeal,
+    betti_set,
+    candidate_degrees,
+    contains_monomial,
+    restrict_to_n,
+)
+from symbetti.betti import _betti_dims, _complex_homology, bitmask_betti_dims, profile_boxes
 
-from conftest import J_PARTS, PERM4_PARTS, RP2_PARTS, TREE4_PARTS, reference_candidates
+from conftest import (
+    J_PARTS,
+    PERM4_PARTS,
+    RP2_PARTS,
+    TREE4_PARTS,
+    reference_betti_dims,
+    reference_candidates,
+    reference_profile_boxes,
+)
 
 # Top level per fixture: every level up to it, in three characteristics,
 # fits in about 5 s.
@@ -103,3 +117,48 @@ def test_plain_part_tuples_are_accepted(ideal_j):
     for a in reference_candidates(ideal_j, 3, prune_same_support=False):
         assert profile_boxes(plain, a) == profile_boxes(gens, a)
         assert _betti_dims(plain, 0, a) == _betti_dims(gens, 0, a)
+
+
+# Above the vertex cap the bitmask route cannot run; the reference is the
+# per-h scan over every box, building and ranking each D_h afresh.  Both
+# routes read only the positive entries of a degree and, from level m on,
+# the same generators, so a degree of support at most `floor` is a padded
+# degree of the level `floor` row above it and is not compared again.
+LARGE_LEVELS = {
+    "J-20": (J_PARTS, 20, 0, 0), "J-40": (J_PARTS, 40, 0, 20),
+    "tree4-20": (TREE4_PARTS, 20, 0, 0), "tree4-40": (TREE4_PARTS, 40, 0, 20),
+    "permutohedron4-20": (PERM4_PARTS, 20, 0, 0), "permutohedron4-40": (PERM4_PARTS, 40, 0, 20),
+    "rp2-12-char0": (RP2_PARTS, 12, 0, 0), "rp2-12-char2": (RP2_PARTS, 12, 2, 0),
+    "rp2-12-char3": (RP2_PARTS, 12, 3, 0), "rp2-20-char0": (RP2_PARTS, 20, 0, 12),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_LEVELS)
+def test_profile_matches_reference_above_vertex_cap(name):
+    parts, n, characteristic, floor = LARGE_LEVELS[name]
+    ideal = SymmetricIdeal.from_parts(parts, characteristic)
+    gens = restrict_to_n(ideal, n)
+    checked = 0
+    for a in candidate_degrees(ideal, n):
+        if sum(1 for e in a if e > 0) <= floor:
+            continue
+        assert profile_boxes(gens, a) == reference_profile_boxes(gens, a), a
+        assert _betti_dims(gens, characteristic, a) == \
+            reference_betti_dims(gens, characteristic, a), a
+        checked += 1
+    assert checked
+
+
+@given(antichains, st.integers(1, 10), st.sampled_from([0, 2, 3]))
+def test_profile_matches_reference_on_random_levels(ideal, n, characteristic):
+    gens = restrict_to_n(ideal, n)
+    for a in candidate_degrees(ideal, n):
+        assert _betti_dims(gens, characteristic, a) == \
+            reference_betti_dims(gens, characteristic, a), a
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_rp2_ranks_107_distinct_complexes(ideal_rp2, n):
+    _complex_homology.cache_clear()
+    betti_set(ideal_rp2, n)
+    assert _complex_homology.cache_info().misses == 107

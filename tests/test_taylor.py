@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from symbetti import (
     strand_basis,
     taylor_strand_tor,
 )
-from symbetti.taylor import _subsets_with_lcm
-from conftest import random_ideal
+from symbetti.taylor import _subsets_with_lcm, dividing_generators
+from conftest import J_PARTS, PERM4_PARTS, RP2_PARTS, TREE4_PARTS, random_ideal
 
 # a degree and up to ten divisors of it, repeats and zero coordinates allowed
 divisor_sets = st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
@@ -38,6 +39,22 @@ class TestExpandGenerators:
 
     def test_restricts_long_generators(self, ideal_perm):
         assert expand_generators(ideal_perm, 3) == ()
+
+
+class TestDividingGenerators:
+    @pytest.mark.parametrize("parts", [J_PARTS, TREE4_PARTS, PERM4_PARTS, RP2_PARTS],
+                             ids=["J", "tree4", "permutohedron4", "rp2"])
+    def test_equals_filtered_expansion(self, parts):
+        ideal = SymmetricIdeal.from_parts(parts)
+        for n in range(1, 8):
+            expanded = expand_generators(ideal, n)
+            cands = candidate_degrees(ideal, n)
+            if n == 7 and parts is RP2_PARTS:
+                # filtering 14,490 vectors per degree takes seconds; a stride suffices
+                cands = cands[::7]
+            for a in cands:
+                assert dividing_generators(ideal, a) == tuple(
+                    g for g in expanded if all(map(operator.le, g, a))), (n, a)
 
 
 class TestStrandTor:
