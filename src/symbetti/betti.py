@@ -31,10 +31,11 @@ is the sum over c in P of the tensor products of the blocks' chain groups,
 and splitting every block in this way leaves, for each h, C(s_j - 1, h_j)
 copies per block of the chain complex of D_h shifted by |h|.  As the
 splitting is over Z, no characteristic is excluded; characteristic
-dependence comes only from the small complexes D_h.  The work per degree is
-at most prod_j s_j complexes of at most 2^r faces, in place of the 2^t
-subsets of the support.  `bitmask_betti_dims` keeps the direct computation
-on K^a as the reference.
+dependence comes only from the small complexes D_h.  Only h whose every h_j
+is a box value u_{g,j} can contribute (the cone lemma in `_betti_dims`), so
+the work per degree is at most prod_j |{u_{g,j}}| complexes of at most 2^r
+faces, whatever the block sizes, in place of the 2^t subsets of the support.
+`bitmask_betti_dims` keeps the direct computation on K^a as the reference.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ import functools
 import itertools
 import math
 import multiprocessing
+import operator
+import os
 from dataclasses import dataclass
 
 from .homology import (
@@ -181,7 +184,7 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
 def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> dict[int, int]:
     """Reduced homology of the complex on r vertices generated by `facets`.
 
-    The same few D_h recur at every degree and every level (107 distinct
+    The same few D_h recur at every degree and every level (63 distinct
     ones for rp2 at n = 9 and at n = 40), so they are ranked once per
     process; forked pool workers inherit the entries.  Callers must not
     mutate the result.
@@ -192,54 +195,28 @@ def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> di
 def _betti_dims(gens, characteristic, a) -> dict[int, int]:
     """Nonzero Betti ranks at degree a, by the block-profile formula.
 
-    The only complexes built are the D_h, on r vertices (one per block), so
-    the support of a is not capped here.  D_h depends on h only through the
-    pairs (boxes with h_j <= u_j, boxes with h_j < u_j) over j, as bitmasks
-    over the boxes, so the weights C(s_j - 1, h_j) are summed per such class
-    and shift |h|, and D_h is built once per class.
+    Only the D_h are built, on r vertices, so the support of a is not capped.
+    Cone lemma: if h_j is no box value u_{g,j}, D_h is void or acyclic over
+    every field.  Proof: each box u with h <= u has h_j <= u_j and h_j != u_j,
+    so h_j < u_j and vertex j lies in the facet of u, hence in every facet.
+    D_h, if not void, is then a cone with apex j, and F -> F + {j} contracts
+    its augmented chain complex over Z.  So h_j ranges over box values only.
     """
     sizes, boxes = profile_boxes(gens, a)
-    if not boxes:
-        return {}
     r = len(sizes)
-    steps, weights, pairs = [], [], []
-    for j, s in enumerate(sizes):
-        reach = min(s - 1, max(u[j] for u in boxes))
-        # at_least[x]: the boxes with u_j >= x, for x = 0..reach + 1
-        at_least = [0] * (reach + 2)
-        for b, u in enumerate(boxes):
-            at_least[min(u[j], reach + 1)] |= 1 << b
-        for x in range(reach, -1, -1):
-            at_least[x] |= at_least[x + 1]
-        steps.append(range(reach + 1))
-        weights.append([math.comb(s - 1, x) for x in range(reach + 1)])
-        pairs.append([(at_least[x], at_least[x + 1]) for x in range(reach + 1)])
-    classes: dict[tuple, dict[int, int]] = {}
-    for h, w, key in zip(itertools.product(*steps), itertools.product(*weights),
-                         itertools.product(*pairs)):
-        shifts = classes.setdefault(key, {})
-        shift = sum(h)
-        shifts[shift] = shifts.get(shift, 0) + math.prod(w)
+    values = [sorted({u[j] for u in boxes if u[j] < s}) for j, s in enumerate(sizes)]
     dims: dict[int, int] = {}
-    for key, shifts in classes.items():
-        inside = -1
-        for le, _ in key:
-            inside &= le
-        # facet of box b: the coordinates j where b is in the strict set
-        facets = {sum(1 << j for j, (_, lt) in enumerate(key) if lt >> b & 1)
-                  for b in range(len(boxes)) if inside >> b & 1}
+    for h in itertools.product(*values):
+        # facet of each box containing h: the coordinates j with h_j < u_j
+        facets = frozenset(sum(1 << j for j in range(r) if h[j] < u[j])
+                           for u in boxes if all(map(operator.le, h, u)))
         if not facets:
             continue  # void D_h
-        top = 0
-        for f in facets:
-            top |= f
-        if top and top in facets:
-            continue  # D_h is a full simplex on at least one vertex: acyclic
-        homology = _complex_homology(r, frozenset(facets), characteristic)
-        for shift, weight in shifts.items():
-            for d, dim in homology.items():
-                i = d + 1 + shift
-                dims[i] = dims.get(i, 0) + weight * dim
+        weight = math.prod(math.comb(s - 1, hj) for s, hj in zip(sizes, h))
+        shift = sum(h)
+        for d, dim in _complex_homology(r, facets, characteristic).items():
+            i = d + 1 + shift
+            dims[i] = dims.get(i, 0) + weight * dim
     return dims
 
 
@@ -252,15 +229,17 @@ def betti_set(ideal: SymmetricIdeal, n: int, processes: int = 1) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
     Only sorted degree representatives are stored.  With processes > 1 the
-    independent per-degree computations are fanned out to a pool; the result
-    is merged deterministically either way.
+    per-degree computations are fanned out to a pool of at most `processes`
+    workers, and no more than there are degrees or cores; the result is
+    merged deterministically either way.
     """
     cands = candidate_degrees(ideal, n)
     gens = restrict_to_n(ideal, n)
-    if processes and processes > 1 and len(cands) > 1:
+    workers = min(processes, len(cands), os.cpu_count() or 1)
+    if workers > 1:
         payload = tuple(g.parts for g in gens)
         args = [(payload, ideal.characteristic, a) for a in cands]
-        with multiprocessing.Pool(processes) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_degree_worker, args)
     else:
         results = [(a, _betti_dims(gens, ideal.characteristic, a)) for a in cands]

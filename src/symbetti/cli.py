@@ -228,41 +228,31 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
                                    processes=args.parallel)
         return cache[key]
 
-    grouped: dict[int, dict[tuple[int, ...], dict[int, int]]] = {}
-
-    def ranks(n: int) -> dict[tuple[int, ...], dict[int, int]]:
-        # bs(n) grouped by degree: {degree: {i: rank}}
-        if n not in grouped:
-            grouped[n] = {}
-            for r in bs(n).sorted_records():
-                grouped[n].setdefault(r.degree, {})[r.i] = r.rank
-        return grouped[n]
-
-    # one candidate list per level, shared by the two loops below
-    cands = {n: candidate_degrees(ideal, n) for n in range(1, min(top, m + 1) + 1)}
+    # one walk over the levels: every candidate against the oracle, and at
+    # level min(max-n, m) against the reduced homology of K^a too
     level0 = min(top, m)
     gens_level0 = restrict_to_n(ideal, level0)
-    bad_complexes = []
-    for a in cands[level0]:
-        profile = ranks(level0).get(a, {})
-        reference = bitmask_betti_dims(gens_level0, ideal.characteristic, a)
-        if profile != reference:
-            bad_complexes.append(
-                f"block-profile ranks {profile} vs complex ranks {reference} at degree {a}")
-    report(f"homology consistency at level {level0}", not bad_complexes, bad_complexes)
-
-    oracle_bad = []
+    bad_complexes, oracle_bad = [], []
     oracle_skipped = 0
     for n in range(1, min(top, m + 1) + 1):
-        for a in cands[n]:
+        ranks: dict[tuple[int, ...], dict[int, int]] = {}
+        for r in bs(n).sorted_records():
+            ranks.setdefault(r.degree, {})[r.i] = r.rank
+        for a in candidate_degrees(ideal, n):
+            direct = ranks.get(a, {})
+            if n == level0:
+                reference = bitmask_betti_dims(gens_level0, ideal.characteristic, a)
+                if direct != reference:
+                    bad_complexes.append(
+                        f"block-profile ranks {direct} vs complex ranks {reference} at degree {a}")
             try:
                 strand = taylor_strand_tor(dividing_generators(ideal, a), a, ideal.characteristic)
             except GeneratorCapError:
                 oracle_skipped += 1
                 continue
-            direct = ranks(n).get(a, {})
             if strand != direct:
                 oracle_bad.append(f"level {n}, degree {a}: strands {strand} vs homology {direct}")
+    report(f"homology consistency at level {level0}", not bad_complexes, bad_complexes)
     name = "generator-subset oracle agreement"
     if oracle_skipped:
         name += f" ({oracle_skipped} degrees over the enumeration cap skipped)"
