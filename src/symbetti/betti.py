@@ -63,7 +63,6 @@ from .ideals import (
     candidate_degrees,
     contains_monomial,
     dominates,
-    encode_runs,
     orbit_size,
     restrict_to_n,
 )
@@ -162,7 +161,7 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     docstring for the box rule.
     """
     a = sorted(a, reverse=True)
-    blocks = encode_runs((e, 1) for e in a if e > 0)
+    blocks = [(v, len(list(run))) for v, run in itertools.groupby(a) if v > 0]
     boxes = set()
     for g in gens:
         parts = _as_parts(g)

@@ -1,11 +1,27 @@
 """Independent Tor computation from generator subsets; the cross-check oracle.
 
-The free resolution supported on all subsets of the minimal monomial
-generators gives, after tensoring down to the field, one chain complex per
-multidegree: subsets whose componentwise lcm equals the degree, graded by
-cardinality.  Its homology must agree with the upper Koszul route everywhere,
-which is what the verification suite exploits.  This module is written for
-falsification power, not speed.
+Taylor's resolution of a monomial ideal has one basis element per nonempty
+subset of the minimal generators, in the degree of their lcm.  Tensored down
+to the field it gives one chain complex per multidegree a: the subsets whose
+lcm is a, graded by cardinality.  This module uses Lyubeznik's subcomplex of
+it (Lyubeznik, "A new explicit finite free resolution of ideals generated by
+monomials in an R-sequence", 1988; Mermin, "Three simplicial resolutions",
+2012): for generators ordered m_1 < ... < m_k, only the admissible subsets
+{i_1 < ... < i_s}, those where no m_q with q < i_u divides
+lcm(m_{i_u}, ..., m_{i_s}) for any u < s.
+
+Proof sketch that it is still a free resolution.  Admissible sets are closed
+under subsets: dropping an element keeps every suffix's check or shrinks its
+lcm to a divisor.  A simplicial complex labelled by lcms supports a
+resolution when, for every monomial b, its faces with lcm dividing b form an
+empty or acyclic complex (Bayer, Peeva and Sturmfels).  For the admissible
+sets, let q be the least index with m_q | b; adding m_q to an admissible set
+with lcm dividing b keeps it admissible, since no generator before m_q
+divides b, so these faces form a cone with apex q.  Hence the strand at a
+(`strand_basis`) has the homology of Taylor's, the Betti numbers of the ideal
+at a, with far fewer sets: at (6,5,4,3,2,1) on rp2 Taylor's strand has
+8,384,336 subsets and Lyubeznik's 72.  That homology must agree with the
+upper Koszul route everywhere, which is what the verification suite exploits.
 """
 
 from __future__ import annotations
@@ -65,52 +81,25 @@ def dividing_generators(ideal: SymmetricIdeal, a) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(found))
 
 
-def _subsets_with_lcm(divisors, a):
-    """All nonempty subsets of `divisors` (bitmasks) whose componentwise max is a.
-
-    Every divisor is at most a, so a subset has lcm a exactly when each
-    coordinate of a is attained by some member; each divisor is reduced to
-    the bitmask of the coordinates where it equals a, and the walk ORs these
-    integers.  Two prunes keep this linear in the output: a branch is
-    abandoned when the remaining elements can no longer cover every
-    coordinate, and once the running cover is complete the whole remaining
-    subtree is emitted without any further arithmetic (every extension still
-    has lcm a), which also lets oversized strands be rejected before they are
-    walked.
-    """
-    full = (1 << len(a)) - 1
-    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
-    count = len(hits)
-    suffix = [0] * (count + 1)
-    for k in range(count - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | hits[k]
-    found: list[int] = []
-
-    def grow(idx, covered, chosen):
-        if covered == full:
-            if len(found) + (1 << (count - idx)) > _STRAND_CAP:
-                raise GeneratorCapError("degree strand is too large to enumerate")
-            step = 1 << idx
-            found.extend(range(chosen or step, chosen + (1 << count), step))
-            return
-        if covered | suffix[idx] != full:
-            return
-        grow(idx + 1, covered, chosen)
-        grow(idx + 1, covered | hits[idx], chosen | 1 << idx)
-
-    grow(0, 0, 0)
-    return found
-
-
 def strand_basis(generators, a) -> dict[int, list[int]]:
-    """Graded basis of the degree-a strand: the subsets whose lcm is a.
+    """Graded basis of the degree-a strand of the Lyubeznik resolution.
 
-    A subset is a bitmask over the sorted generators that divide a, keyed by
-    its size minus one (the convention for the ideal itself, not its quotient
-    ring, so homology aligns with the Betti numbers of the ideal with no
-    shift).  The family is convex, so `homology.boundary_matrix` on it drops
-    one element at a time and keeps exactly the terms where the lcm is
-    unchanged.
+    A set is a bitmask over the sorted generators m_0 < ... < m_{k-1} that
+    divide a, keyed by its size minus one (the convention for the ideal
+    itself, not its quotient ring, so homology aligns with the Betti numbers
+    of the ideal with no shift).  The strand is the admissible sets (module
+    docstring) whose lcm is a.  They are closed under subsets, so
+    `homology.boundary_matrix` on the strand drops one element at a time and
+    keeps exactly the terms where the lcm is unchanged.  Every m_q divides a,
+    so each such set contains m_0: with two or more members, a first index
+    above 0 fails admissibility as m_0 divides their lcm, and a lone
+    generator equal to a is the only divisor, m_0.
+
+    Sets are built from their largest index down, carrying the suffix lcm
+    and the mask of coordinates where it equals a; a branch stops once the
+    smaller indices can no longer complete that mask, and the walk is
+    refused after `_STRAND_CAP` admissible sets.  The generators must be
+    pairwise indivisible, as minimal generators are.
     """
     a = tuple(a)
     divisors = tuple(sorted(
@@ -121,9 +110,30 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
         raise GeneratorCapError(
             f"{len(divisors)} generators divide the degree; the cap is {GENERATOR_CAP}"
         )
+    full = (1 << len(a)) - 1
+    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
+    prefix = list(itertools.accumulate(hits, operator.or_))
     basis: dict[int, list[int]] = {}
-    for s in _subsets_with_lcm(divisors, a):
-        basis.setdefault(s.bit_count() - 1, []).append(s)
+    visited = 0
+
+    def grow(top, lcm, covered, chosen):
+        nonlocal visited
+        for j in range(top - 1, -1, -1):
+            if covered | prefix[j] != full:
+                break
+            ext = tuple(map(max, lcm, divisors[j]))
+            if any(all(map(operator.le, divisors[q], ext)) for q in range(j)):
+                continue  # some m_q with q < j divides the new suffix lcm: not admissible
+            visited += 1
+            if visited > _STRAND_CAP:
+                raise GeneratorCapError("degree strand is too large to enumerate")
+            s = chosen | 1 << j
+            if j:
+                grow(j, ext, covered | hits[j], s)
+            else:  # at j = 0 the test above left the cover full: lcm a
+                basis.setdefault(s.bit_count() - 1, []).append(s)
+
+    grow(len(divisors), (0,) * len(a), 0, 0)
     for group in basis.values():
         group.sort()
     return basis
@@ -132,8 +142,9 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
 def taylor_strand_tor(generators, a, characteristic=0) -> dict[int, int]:
     """Tor ranks at degree a computed from generator subsets, keyed by degree.
 
-    A subset with k elements sits in homological degree k - 1 (see
-    `strand_basis`); the ranks are the homology of the strand.
+    A set with k elements sits in homological degree k - 1 (see
+    `strand_basis`); the ranks are the homology of the Lyubeznik strand,
+    which equal those of the full Taylor strand.
     """
     basis = strand_basis(generators, a)
     if basis and max(len(g) for g in basis.values()) > _MATRIX_CAP:

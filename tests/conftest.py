@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings
 from symbetti import SymmetricIdeal, betti_set, minimal_generators
 from symbetti.homology import SimplicialComplex, chain_homology, faces_by_dim
 from symbetti.ideals import Partition, _as_parts, dominates, encode_runs, restrict_to_n
+from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -136,6 +138,50 @@ def reference_betti_dims(gens, characteristic, a):
             i = d + 1 + sum(h)
             dims[i] = dims.get(i, 0) + weight * dim
     return dims
+
+
+def reference_taylor_basis(generators, a):
+    """Reference for `taylor.strand_basis`: the full Taylor strand, every subset whose lcm is a.
+
+    Same divisor order, grading and caps as the oracle.  Every divisor is at
+    most a, so a subset has lcm a exactly when each coordinate of a is
+    attained by some member; each divisor is reduced to the bitmask of the
+    coordinates where it equals a, and the walk ORs these.  A branch is
+    abandoned when the remaining elements can no longer cover every
+    coordinate, and once the cover is complete the whole remaining subtree
+    is emitted at once, which also lets oversized strands be refused before
+    they are walked.
+    """
+    a = tuple(a)
+    divisors = tuple(sorted(
+        g for g in generators if len(g) == len(a) and all(map(operator.le, g, a))))
+    if len(divisors) > GENERATOR_CAP:
+        raise GeneratorCapError(f"{len(divisors)} generators divide the degree")
+    full = (1 << len(a)) - 1
+    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
+    count = len(hits)
+    suffix = [0] * (count + 1)
+    for k in range(count - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | hits[k]
+    found = []
+
+    def grow(idx, covered, chosen):
+        if covered == full:
+            if len(found) + (1 << (count - idx)) > _STRAND_CAP:
+                raise GeneratorCapError("degree strand is too large to enumerate")
+            step = 1 << idx
+            found.extend(range(chosen or step, chosen + (1 << count), step))
+            return
+        if covered | suffix[idx] != full:
+            return
+        grow(idx + 1, covered, chosen)
+        grow(idx + 1, covered | hits[idx], chosen | 1 << idx)
+
+    grow(0, 0, 0)
+    basis = {}
+    for s in sorted(found):
+        basis.setdefault(s.bit_count() - 1, []).append(s)
+    return basis
 
 
 def random_ideal(rng: random.Random, max_gens=3, max_len=3, max_part=5,

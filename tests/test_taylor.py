@@ -1,5 +1,7 @@
+import io
 import itertools
 import operator
+import pathlib
 import random
 
 import pytest
@@ -11,13 +13,25 @@ from symbetti import (
     betti_at_degree,
     boundary_matrices,
     candidate_degrees,
+    chain_homology,
     expand_generators,
     scarf_degrees,
     strand_basis,
     taylor_strand_tor,
 )
-from symbetti.taylor import _subsets_with_lcm, dividing_generators
-from conftest import J_PARTS, PERM4_PARTS, RP2_PARTS, TREE4_PARTS, random_ideal
+from symbetti.cli import main
+from symbetti.taylor import _MATRIX_CAP, dividing_generators
+from conftest import (
+    J_PARTS,
+    PERM4_PARTS,
+    RP2_PARTS,
+    TREE4_PARTS,
+    random_ideal,
+    reference_taylor_basis,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = {"J": J_PARTS, "tree4": TREE4_PARTS, "permutohedron4": PERM4_PARTS, "rp2": RP2_PARTS}
 
 # a degree and up to ten divisors of it, repeats and zero coordinates allowed
 divisor_sets = st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
@@ -26,6 +40,81 @@ divisor_sets = st.lists(st.integers(0, 4), min_size=1, max_size=4).flatmap(
         st.lists(st.tuples(*(st.integers(0, x) for x in a)), max_size=10),
     )
 )
+
+
+def _minimal(divisors):
+    """The pairwise indivisible divisors: repeats and multiples of another divisor dropped."""
+    gens = set(divisors)
+    return sorted(g for g in gens
+                  if not any(h != g and all(map(operator.le, h, g)) for h in gens))
+
+
+def _lcm(divisors, mask):
+    return tuple(map(max, zip(*(g for k, g in enumerate(divisors) if mask >> k & 1))))
+
+
+@st.composite
+def antichains(draw):
+    """Pairwise indivisible vectors, as minimal generators are, and a degree.
+
+    Half the draws take distinct vectors of one total degree, which overlap
+    richly; the rest the minimal elements of arbitrary vectors.  The degree
+    is the lcm of some of them, so the Taylor strand is never empty, and
+    the others need not divide it.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        total = draw(st.integers(0, 3 * n))
+        level = [g for g in itertools.product(range(4), repeat=n) if sum(g) == total]
+        gens = sorted(draw(st.sets(st.sampled_from(level), min_size=1, max_size=10)))
+    else:
+        gens = _minimal(draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                      min_size=1, max_size=10)))
+    chosen = draw(st.integers(1, (1 << len(gens)) - 1))
+    return _lcm(gens, chosen), gens
+
+
+def _admissible(divisors, mask):
+    """The admissibility condition of a set, read off its definition."""
+    idx = [k for k in range(len(divisors)) if mask >> k & 1]
+    return not any(
+        all(map(operator.le, divisors[q], _lcm(divisors, sum(1 << i for i in idx[u:]))))
+        for u in range(len(idx) - 1) for q in range(idx[u]))
+
+
+def _flatten(basis):
+    return sorted(s for group in basis.values() for s in group)
+
+
+def _reference_basis(divisors, a):
+    """The full Taylor strand the old oracle ranked, or None where one of its caps refused it."""
+    try:
+        basis = reference_taylor_basis(divisors, a)
+    except GeneratorCapError:
+        return None
+    if basis and max(map(len, basis.values())) > _MATRIX_CAP:
+        return None
+    return basis
+
+
+def _oracle_tor(divisors, a, characteristic):
+    try:
+        return taylor_strand_tor(divisors, a, characteristic)
+    except GeneratorCapError:
+        return None
+
+
+@pytest.fixture(scope="module")
+def fixture_strands():
+    """Per fixture and level 1-6, each candidate with its divisors and Taylor reference basis."""
+    out = {}
+    for name, parts in FIXTURES.items():
+        ideal = SymmetricIdeal.from_parts(parts)
+        for n in range(1, 7):
+            out[name, n] = [(a, divisors, _reference_basis(divisors, a))
+                            for a in candidate_degrees(ideal, n)
+                            for divisors in [dividing_generators(ideal, a)]]
+    return out
 
 
 class TestExpandGenerators:
@@ -86,11 +175,58 @@ class TestStrandTor:
     @given(divisor_sets)
     def test_subsets_with_lcm_matches_brute_force(self, case):
         a, divisors = case
-        expected = [
-            s for s in range(1, 1 << len(divisors))
-            if tuple(map(max, zip(*(g for k, g in enumerate(divisors) if s >> k & 1)))) == a
-        ]
-        assert sorted(_subsets_with_lcm(divisors, a)) == expected
+        divisors = sorted(divisors)
+        expected = [s for s in range(1, 1 << len(divisors)) if _lcm(divisors, s) == a]
+        basis = reference_taylor_basis(divisors, a)
+        assert _flatten(basis) == expected
+        assert all(s.bit_count() == d + 1 for d, group in basis.items() for s in group)
+
+    @given(antichains())
+    def test_basis_is_the_admissible_part_of_the_taylor_strand(self, case):
+        a, gens = case
+        taylor = set(_flatten(reference_taylor_basis(gens, a)))
+        basis = strand_basis(gens, a)
+        # bitmasks index the divisors of a, in order
+        divisors = [g for g in gens if all(map(operator.le, g, a))]
+        got = _flatten(basis)
+        assert all(s.bit_count() == d + 1 for d, group in basis.items() for s in group)
+        assert got == sorted(s for s in taylor if _admissible(divisors, s))
+        # downward closed within the strand: a subset with lcm a is kept too
+        kept = set(got)
+        for s in got:
+            sub = (s - 1) & s
+            while sub:
+                assert sub not in taylor or sub in kept, (s, sub)
+                sub = (sub - 1) & s
+
+    @given(antichains())
+    def test_ranks_match_taylor_on_antichains(self, case):
+        a, divisors = case
+        taylor = _reference_basis(divisors, a)
+        for p in (0, 2, 3):
+            expected = None if taylor is None else chain_homology(taylor, p)
+            assert _oracle_tor(divisors, a, p) == expected, p
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_ranks_match_taylor_on_fixtures(self, fixture_strands, p):
+        compared = 0
+        for (name, n), strands in fixture_strands.items():
+            for a, divisors, taylor in strands:
+                if taylor is not None:
+                    assert _oracle_tor(divisors, a, p) == chain_homology(taylor, p), (name, n, a)
+                    compared += 1
+        assert compared == 365
+
+    def test_skips_never_exceed_taylor(self, fixture_strands):
+        for (name, n), strands in fixture_strands.items():
+            ours = sum(_oracle_tor(d, a, 0) is None for a, d, _ in strands)
+            taylor = sum(t is None for _, _, t in strands)
+            assert ours <= taylor, (name, n)
+        out = io.StringIO()
+        assert main(["verify", "--ideal", str(ROOT / "ideals" / "rp2.json"),
+                     "--max-n", "5", "--parallel", "1"], out=out) == 0
+        assert ("generator-subset oracle agreement (25 degrees over the enumeration cap skipped)"
+                in out.getvalue())
 
     def test_agrees_with_homology_route(self, ideal_j, ideal_tree):
         from dataclasses import replace
