@@ -14,8 +14,9 @@ the set P of count vectors that stay in the ideal.
 Box rule.  Lowering entries of block j changes only the number of entries
 >= v_j, so a generator g divides some permutation of x^a / x^F exactly when
 c_j <= u_{g,j} = min(s_j, s_1 + ... + s_j - #{parts of g >= v_j}) for every j,
-provided g divides some permutation of x^a itself (`dominates`).  P is the
-union of the boxes [0, u_g] over the generators that pass (`profile_boxes`).
+provided g divides some permutation of x^a itself (dominance, decided in the
+same pass).  P is the union of the boxes [0, u_g] over the generators that
+pass (`profile_boxes`).
 
 Formula.  Over every field,
 
@@ -36,6 +37,18 @@ is a box value u_{g,j} can contribute (the cone lemma in `_betti_dims`), so
 the work per degree is at most prod_j |{u_{g,j}}| complexes of at most 2^r
 faces, whatever the block sizes, in place of the 2^t subsets of the support.
 `bitmask_betti_dims` keeps the direct computation on K^a as the reference.
+
+Families.  With m the largest generator length, every candidate of support
+t >= m is a head of m entries with its last entry repeated through position
+t, so the degrees that share a head differ only in the size s_r of their last
+block.  Dominance and the first r - 1 box coordinates read only the head, and
+the last box coordinate is s_r minus a shift fixed by the head, so the h-loop
+depends on s_r only through the weight C(s_r - 1, e) and the homological
+degree.  `family_terms` runs the loop once per head and returns terms
+(i0, e, coef); each member's rank in degree i0 + s_r is the sum of
+coef * C(s_r - 1, e).  `betti_set` ranks each family this way and keeps
+`_betti_dims`, the direct h-loop, for the degrees of support below m; the
+tests compare the two at every family member.
 """
 
 from __future__ import annotations
@@ -62,7 +75,6 @@ from .ideals import (
     _as_parts,
     candidate_degrees,
     contains_monomial,
-    dominates,
     orbit_size,
     restrict_to_n,
 )
@@ -158,24 +170,32 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """Block sizes of the sorted degree a, and the boxes whose union is P.
 
     Generators may be `Partition`s or plain part tuples; see the module
-    docstring for the box rule.
+    docstring for the box rule.  Dominance is decided in the same pass over
+    the blocks: g divides some permutation of x^a exactly when, for every
+    block j, the parts above v_j fit on the s_1 + ... + s_{j-1} entries of
+    the earlier blocks, and g has at most as many parts as a has positive
+    entries.
     """
     a = sorted(a, reverse=True)
     blocks = [(v, len(list(run))) for v, run in itertools.groupby(a) if v > 0]
     boxes = set()
-    for g in gens:
-        parts = _as_parts(g)
-        if not dominates(a, parts):
-            continue
+    for parts in map(_as_parts, gens):
         box = []
-        total = above = 0
+        total = k = 0
+        # the parts are descending, so one pointer walks #{parts > v_j},
+        # then #{parts >= v_j}, block by block
         for v, s in blocks:
+            while k < len(parts) and parts[k] > v:
+                k += 1
+            if k > total:
+                break  # a part above v_j has no entry left to divide
+            while k < len(parts) and parts[k] >= v:
+                k += 1
             total += s
-            # the parts are descending, so #{parts >= v} only grows
-            while above < len(parts) and parts[above] >= v:
-                above += 1
-            box.append(min(s, total - above))
-        boxes.add(tuple(box))
+            box.append(min(s, total - k))
+        else:
+            if len(parts) <= total:
+                boxes.add(tuple(box))
     return [s for _, s in blocks], sorted(boxes)
 
 
@@ -219,32 +239,105 @@ def _betti_dims(gens, characteristic, a) -> dict[int, int]:
     return dims
 
 
-def _degree_worker(args):
-    gens, characteristic, a = args
-    return a, _betti_dims(gens, characteristic, a)
+def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
+    """Rank terms (i0, e, coef) shared by every degree that lengthens the last block of head.
+
+    `head` is a sorted degree of support m, the largest generator length.  A
+    candidate a of support t >= m is its head H = a[:m] with H[-1] repeated
+    through position t, so only the last block grows: s_r = s0 + (t - m),
+    where s0 is the multiplicity of H[-1] in H.  The terms are exact for the
+    whole family:
+
+    - Dominance, and the first r - 1 coordinates of every box, read only H,
+      as no generator has more than m parts.
+    - On the last coordinate, u_{g,r} = s_r - d_g with
+      d_g = max(0, #{parts of g >= v_r} - (s_1 + ... + s_{r-1})), which does
+      not depend on s_r.
+    - In the h-loop, h_r ranges over s_r - d for the distinct d = d_g >= 1.
+      Write e = d - 1.  Then h <= u holds on the last coordinate iff
+      d_g <= d, and vertex r lies in the facet iff d_g < d.  So D_h depends
+      on (h', e) only, where h' = (h_1, ..., h_{r-1}).
+    - The weight C(s_r - 1, h_r) equals C(s_r - 1, e), and the homological
+      degree is i = (deg + |h'| - e) + s_r, where deg is the homology degree
+      in D_h.
+
+    So each term has coef = prod_{j<r} C(s_j - 1, h_j) * dim H~_deg(D_{h',e}),
+    and the member with last block s_r has rank sum coef * C(s_r - 1, e)
+    over the terms with i0 + s_r = i, in homological degree i.  This holds
+    for every s_r >= 1, because the binomial vanishes where a term is absent.
+    """
+    sizes, boxes = profile_boxes(gens, head)
+    r, s0 = len(sizes), sizes[-1]
+    values = [sorted({u[j] for u in boxes if u[j] < s}) for j, s in enumerate(sizes[:-1])]
+    offsets = sorted({s0 - u[-1] for u in boxes} - {0})
+    top = 1 << (r - 1)
+    coefs: dict[tuple[int, int], int] = {}
+    for hp in itertools.product(*values):
+        # boxes containing h' on the first r - 1 coordinates, as (facet on
+        # those coordinates, d_g); map stops before the last coordinate
+        fit = [(sum(1 << j for j, hj in enumerate(hp) if hj < u[j]), s0 - u[-1])
+               for u in boxes if all(map(operator.le, hp, u))]
+        weight = math.prod(math.comb(s - 1, hj) for s, hj in zip(sizes, hp))
+        shift = sum(hp)
+        for d in offsets:
+            facets = frozenset(mask | top if dg < d else mask for mask, dg in fit if dg <= d)
+            if not facets:
+                continue  # void D_h
+            e = d - 1
+            for deg, dim in _complex_homology(r, facets, characteristic).items():
+                key = (deg + shift - e, e)
+                coefs[key] = coefs.get(key, 0) + weight * dim
+    return sorted((i0, e, coef) for (i0, e), coef in coefs.items())
+
+
+def _unit_worker(args):
+    """One work unit: a family's terms from its head, or one degree's ranks."""
+    gens, characteristic, a, family = args
+    return family_terms(gens, characteristic, a) if family else _betti_dims(gens, characteristic, a)
 
 
 def betti_set(ideal: SymmetricIdeal, n: int, processes: int = 1) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
-    Only sorted degree representatives are stored.  With processes > 1 the
-    per-degree computations are fanned out to a pool of at most `processes`
-    workers, and no more than there are degrees or cores; the result is
-    merged deterministically either way.
+    Only sorted degree representatives are stored.  A work unit is one
+    degree of support below m, ranked by `_betti_dims`, or one family of
+    degrees of support m or more that share a head, ranked from the head's
+    `family_terms`.  With processes > 1 the units are fanned out to a pool of
+    at most `processes` workers, and no more than there are units or cores;
+    the result is merged deterministically either way.
     """
     cands = candidate_degrees(ideal, n)
-    gens = restrict_to_n(ideal, n)
-    workers = min(processes, len(cands), os.cpu_count() or 1)
+    gens = tuple(g.parts for g in restrict_to_n(ideal, n))
+    m = max(map(len, gens), default=0)
+    # a degree of support m or more is its head a[:m], last entry repeated
+    families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    units = []
+    for a in cands:
+        head = a[:m]
+        if not a[m - 1]:
+            units.append((gens, ideal.characteristic, a, False))
+        elif head in families:
+            families[head].append(a)
+        else:
+            families[head] = [a]
+            units.append((gens, ideal.characteristic, head, True))
+    workers = min(processes, len(units), os.cpu_count() or 1)
     if workers > 1:
-        payload = tuple(g.parts for g in gens)
-        args = [(payload, ideal.characteristic, a) for a in cands]
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_degree_worker, args)
+            results = pool.map(_unit_worker, units)
     else:
-        results = [(a, _betti_dims(gens, ideal.characteristic, a)) for a in cands]
+        results = list(map(_unit_worker, units))
     records = []
-    for a, dims in results:
-        records.extend(BettiRecord(i, a, rank) for i, rank in sorted(dims.items()))
+    for (_, _, a, family), result in zip(units, results):
+        if not family:
+            records.extend(BettiRecord(i, a, rank) for i, rank in result.items())
+            continue
+        for member in families[a]:
+            s = member.count(a[-1])  # the last block, s0 + (t - m)
+            dims: dict[int, int] = {}
+            for i0, e, coef in result:
+                dims[i0 + s] = dims.get(i0 + s, 0) + coef * math.comb(s - 1, e)
+            records.extend(BettiRecord(i, member, rank) for i, rank in dims.items())
     return BettiSet(n, frozenset(records))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -61,9 +62,7 @@ def dominates(a: Sequence[int], lam) -> bool:
     pass `a` already sorted descending.
     """
     parts = _as_parts(lam)
-    if len(parts) > len(a):
-        return False
-    return all(p <= e for p, e in zip(parts, a))
+    return len(parts) <= len(a) and all(map(operator.le, parts, a))
 
 
 def minimal_generators(partitions: Iterable) -> set[Partition]:

@@ -151,7 +151,11 @@ class TestBettiSet:
         monkeypatch.setattr(betti_module, "multiprocessing", types.SimpleNamespace(Pool=SerialPool))
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         bs = betti_set(ideal_j, 4, processes=100000)
-        workers = min(cores or 1, len(candidate_degrees(ideal_j, 4)))  # 64 cores: 9 degrees
+        # a work unit is one degree of support below m = 2, or one family:
+        # the 9 degrees share 3 heads of support 2
+        units = {a[:2] if a[1] else a for a in candidate_degrees(ideal_j, 4)}
+        assert len(units) == 3
+        workers = min(cores or 1, len(units))  # 64 cores: 3 units
         assert sizes == ([workers] if workers > 1 else [])
         assert bs == betti_set(ideal_j, 4, processes=1)
 

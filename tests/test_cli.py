@@ -300,8 +300,9 @@ class TestCommands:
         import symbetti.cli as cli
 
         real_set, real_dims = cli.betti_set, betti._betti_dims
+        real_terms = betti.family_terms
         real_complex = betti.upper_koszul_complex
-        tables, dims_calls, complexes = [], Counter(), Counter()
+        tables, dims_calls, terms_calls, complexes = [], Counter(), Counter(), Counter()
 
         def spy_set(ideal, n, processes=1):
             tables.append((n, ideal.characteristic))
@@ -311,12 +312,17 @@ class TestCommands:
             dims_calls[(characteristic, tuple(a))] += 1
             return real_dims(gens, characteristic, a)
 
+        def spy_terms(gens, characteristic, head):
+            terms_calls[(characteristic, tuple(head))] += 1
+            return real_terms(gens, characteristic, head)
+
         def spy_complex(gens, a):
             complexes[tuple(a)] += 1
             return real_complex(gens, a)
 
         monkeypatch.setattr(cli, "betti_set", spy_set)
         monkeypatch.setattr(betti, "_betti_dims", spy_dims)
+        monkeypatch.setattr(betti, "family_terms", spy_terms)
         monkeypatch.setattr(betti, "upper_koszul_complex", spy_complex)
         monkeypatch.setattr(cli, "upper_koszul_complex", spy_complex)
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
@@ -324,22 +330,30 @@ class TestCommands:
         assert code == EXIT_OK
         assert sorted(tables) == [(1, 0), (2, 0), (2, 2), (3, 0), (4, 0)]
         ideal = parse_ideal_file(path)
-        # one profile computation per candidate of each table, nothing else
-        assert dims_calls == Counter(
-            (p, a) for n, p in tables for a in candidate_degrees(ideal, n))
+        m = ideal.max_length
+        cands = [(p, a, sum(1 for e in a if e)) for n, p in tables
+                 for a in candidate_degrees(ideal, n)]
+        # one profile computation per candidate of support below m, and one
+        # family per head of support m, in each table; nothing else
+        assert dims_calls == Counter((p, a) for p, a, t in cands if t < m)
+        assert terms_calls == Counter((p, a[:m]) for p, a, t in cands if t == m)
+        # every longer candidate lies in the family of one of those heads
+        assert all((p, a[:m]) in terms_calls for p, a, t in cands if t > m)
         # one K^a per candidate at level m = 2, for the reference side only
         assert complexes == Counter(candidate_degrees(ideal, 2))
 
     def test_verify_profile_mismatch_exit_code(self, tmp_path, monkeypatch):
         import symbetti.betti as betti
 
-        real = betti._betti_dims
+        real = betti.family_terms
 
-        def wrong_at_52(gens, characteristic, a):
-            return {1: 2} if tuple(a) == (5, 2) else real(gens, characteristic, a)
+        def wrong_at_52(gens, characteristic, head):
+            # (5, 2) heads its family; one term (i0, e, coef) = (0, 0, 2)
+            # gives rank 2 in degree 1 at the head, whose last block is 1
+            return [(0, 0, 2)] if tuple(head) == (5, 2) else real(gens, characteristic, head)
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
-        monkeypatch.setattr(betti, "_betti_dims", wrong_at_52)
+        monkeypatch.setattr(betti, "family_terms", wrong_at_52)
         code, out = run(["verify", "--ideal", path, "--max-n", "2", "--parallel", "1"])
         assert code == EXIT_VERIFY
         lines = out.splitlines()

@@ -1,15 +1,18 @@
 """The block-profile route against the bitmask reference on the upper Koszul complex."""
 
 import itertools
+import operator
+from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from symbetti import (
     SymmetricIdeal,
     betti_set,
     candidate_degrees,
     contains_monomial,
+    dominates,
     restrict_to_n,
 )
 from symbetti.betti import _betti_dims, _complex_homology, bitmask_betti_dims, profile_boxes
@@ -191,3 +194,91 @@ def test_rp2_ranks_63_distinct_complexes(ideal_rp2, n):
     _complex_homology.cache_clear()
     betti_set(ideal_rp2, n)
     assert _complex_homology.cache_info().misses == 63
+
+
+def divides_some_permutation(parts, a):
+    """Brute force: some permutation of the zero-padded parts is at most a everywhere."""
+    if len(parts) > len(a):
+        return False
+    padded = tuple(parts) + (0,) * (len(a) - len(parts))
+    return any(all(map(operator.le, perm, a)) for perm in set(itertools.permutations(padded)))
+
+
+@st.composite
+def generators_with_short_degree(draw):
+    """Random generators and a sorted degree of length n <= 6 with entries <= 6."""
+    gens = draw(st.lists(partitions, min_size=1, max_size=4))
+    n = draw(st.integers(1, 6))
+    a = tuple(sorted(draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)), reverse=True))
+    return gens, a
+
+
+# (3, 3) at (5, 1): #{parts >= v_j} fits at both block values, yet only the
+# entry 5 can take a part 3, so dominance must also count the parts above v_j
+@example(([(3, 3)], (5, 1)))
+@given(generators_with_short_degree())
+def test_profile_boxes_match_reference_and_brute_force(drawn):
+    gens, a = drawn
+    assert profile_boxes(gens, a) == reference_profile_boxes(gens, a)
+    for g in gens:
+        fits = divides_some_permutation(g, a)
+        assert bool(profile_boxes([g], a)[1]) == fits, (g, a)
+        assert dominates(a, g) == fits, (g, a)
+
+
+def ranks_by_degree(bs):
+    ranks = {}
+    for r in bs.records:
+        ranks.setdefault(r.degree, {})[r.i] = r.rank
+    return ranks
+
+
+# Every level up to the top, so that each family is checked at every length
+# and the levels below the largest generator length, where a smaller m sets
+# the families, are covered too.
+FAMILY_LEVELS = {
+    "J": (J_PARTS, 40),
+    "tree4": (TREE4_PARTS, 40),
+    "permutohedron4": (PERM4_PARTS, 40),
+    "rp2": (RP2_PARTS, 20),
+}
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+@pytest.mark.parametrize("name", sorted(FAMILY_LEVELS))
+def test_family_ranks_match_direct_on_fixtures(name, characteristic):
+    parts, top = FAMILY_LEVELS[name]
+    ideal = SymmetricIdeal.from_parts(parts, characteristic)
+    # the direct ranks read only the generators and the positive entries
+    direct = {}
+    members = 0
+    for n in range(1, top + 1):
+        gens = restrict_to_n(ideal, n)
+        m = max((g.length for g in gens), default=0)
+        got = ranks_by_degree(betti_set(ideal, n))
+        for a in candidate_degrees(ideal, n):
+            key = (gens, a[:len(a) - a.count(0)])
+            if key not in direct:
+                direct[key] = _betti_dims(gens, characteristic, a)
+            assert got.get(a, {}) == direct[key], (n, a)
+            members += a[m - 1] > 0
+    assert members
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+def test_family_ranks_match_direct_on_rp2_at_100(ideal_rp2, characteristic):
+    ideal = replace(ideal_rp2, characteristic=characteristic)
+    gens = restrict_to_n(ideal, 100)
+    got = ranks_by_degree(betti_set(ideal, 100))
+    cands = candidate_degrees(ideal, 100)
+    for a in cands[::53]:
+        assert got.get(a, {}) == _betti_dims(gens, characteristic, a), a
+
+
+@given(antichains, st.integers(1, 10), st.sampled_from([0, 2, 3]))
+def test_family_ranks_match_direct_on_random_levels(ideal, n, characteristic):
+    ideal = replace(ideal, characteristic=characteristic)
+    gens = restrict_to_n(ideal, n)
+    got = ranks_by_degree(betti_set(ideal, n))
+    for a in candidate_degrees(ideal, n):
+        assert got.get(a, {}) == _betti_dims(gens, characteristic, a), a
