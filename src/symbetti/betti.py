@@ -134,21 +134,34 @@ def upper_koszul_complex(gens, a) -> SimplicialComplex:
     Vertex j of the result is the j-th support position of a; positions where
     a vanishes can never appear in a face (the quotient would have a negative
     exponent).  `gens` must be restricted to len(a) variables already.
+
+    Ideals are closed upward: if x^(a - F) is outside the ideal, so is
+    x^(a - G) for every G containing F.  The masks are walked in increasing
+    order, so every subset of a mask comes before it, and the membership
+    test runs only on a mask whose every codimension-one subset is already a
+    face: on the faces and the minimal non-faces.
     """
     a = tuple(a)
     support = [k for k, e in enumerate(a) if e > 0]
     t = len(support)
     if t > VERTEX_CAP:
-        # refused before the 2^t membership tests, not at construction
+        # refused before the membership tests, not at construction
         raise ComplexTooLargeError(f"degree has support {t}, above the vertex cap {VERTEX_CAP}")
-    faces = []
+    faces = set()
     for mask in range(1 << t):
+        # clear the set bits of rest, lowest first, while dropping each from
+        # mask leaves a face
+        rest = mask
+        while rest and mask ^ (rest & -rest) in faces:
+            rest &= rest - 1
+        if rest:
+            continue  # a codimension-one subset is no face
         b = list(a)
         for j in range(t):
             if mask >> j & 1:
                 b[support[j]] -= 1
         if contains_monomial(gens, b):
-            faces.append(mask)
+            faces.add(mask)
     return SimplicialComplex(t, frozenset(faces))
 
 
@@ -302,9 +315,12 @@ def betti_set(ideal: SymmetricIdeal, n: int, processes: int = 1) -> BettiSet:
     Only sorted degree representatives are stored.  A work unit is one
     degree of support below m, ranked by `_betti_dims`, or one family of
     degrees of support m or more that share a head, ranked from the head's
-    `family_terms`.  With processes > 1 the units are fanned out to a pool of
-    at most `processes` workers, and no more than there are units or cores;
-    the result is merged deterministically either way.
+    `family_terms`.  By default the units run in this process.  With
+    processes > 1 they are fanned out to a pool of at most `processes`
+    workers, and no more than there are units or cores; the result is merged
+    deterministically either way.  The pool has not paid for its start-up at
+    any size measured (README, "Flags"), so the CLI asks for it only when
+    given `--parallel K` with K > 1.
     """
     cands = candidate_degrees(ideal, n)
     gens = tuple(g.parts for g in restrict_to_n(ideal, n))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -305,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal", required=True, help="path to a JSON ideal description")
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="number of variables")
-        p.add_argument("--parallel", type=int, default=os.cpu_count() or 1,
-                       help="processes for per-degree fan-out (default: available cores)")
+        p.add_argument("--parallel", type=int, default=1,
+                       help="processes for the fan-out of work units (default: 1, no "
+                            "pool; a pool's start-up cost more than it saved at every "
+                            "size measured)")
         p.add_argument("--characteristic", type=int, default=None,
                        help="override the characteristic from the ideal file")
 

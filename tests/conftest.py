@@ -8,7 +8,14 @@ from hypothesis import settings
 
 from symbetti import SymmetricIdeal, betti_set, minimal_generators
 from symbetti.homology import SimplicialComplex, chain_homology, faces_by_dim
-from symbetti.ideals import Partition, _as_parts, dominates, encode_runs, restrict_to_n
+from symbetti.ideals import (
+    Partition,
+    _as_parts,
+    contains_monomial,
+    dominates,
+    encode_runs,
+    restrict_to_n,
+)
 from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -138,6 +145,22 @@ def reference_betti_dims(gens, characteristic, a):
             i = d + 1 + sum(h)
             dims[i] = dims.get(i, 0) + weight * dim
     return dims
+
+
+def reference_upper_koszul_complex(gens, a):
+    """Reference for `upper_koszul_complex`: one membership test on every subset of the support."""
+    a = tuple(a)
+    support = [k for k, e in enumerate(a) if e > 0]
+    t = len(support)
+    faces = []
+    for mask in range(1 << t):
+        b = list(a)
+        for j in range(t):
+            if mask >> j & 1:
+                b[support[j]] -= 1
+        if contains_monomial(gens, b):
+            faces.append(mask)
+    return SimplicialComplex(t, frozenset(faces))
 
 
 def reference_taylor_basis(generators, a):

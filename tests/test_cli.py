@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -32,6 +33,7 @@ from symbetti.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    build_parser,
     main,
     render_graded_table,
 )
@@ -101,6 +103,56 @@ class TestRoundTrip:
         assert degree_from_runs(runs) == degree
         entry = record_payload(BettiRecord(1, degree, 1), len(degree))
         assert entry["degree_rle"] == runs and entry["degree"] == list(degree)
+
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "ideals"
+J_FILE = str(FIXTURE_DIR / "J.json")
+
+# one command line per subcommand, on J (at least two work units per table)
+SUBCOMMANDS = [
+    ["betti", "--ideal", J_FILE, "--n", "4"],
+    ["extrapolate", "--ideal", J_FILE, "--n", "4"],
+    ["segments", "--ideal", J_FILE],
+    ["asymptotics", "--ideal", J_FILE],
+    ["verify", "--ideal", J_FILE, "--max-n", "4"],
+]
+
+
+class TestFanOut:
+    def test_parallel_defaults_to_one(self):
+        parser = build_parser()
+        for argv in SUBCOMMANDS:
+            assert parser.parse_args(argv).parallel == 1, argv[0]
+
+    def test_default_starts_no_pool(self, monkeypatch):
+        import symbetti.betti as betti
+
+        class RaisingPool:
+            def __init__(self, processes):
+                raise AssertionError(f"pool of {processes} started")
+
+        monkeypatch.setattr(betti, "multiprocessing", types.SimpleNamespace(Pool=RaisingPool))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for argv in SUBCOMMANDS:
+            assert run(argv)[0] == EXIT_OK, argv[0]
+            # the same command asks for a pool when given one
+            with pytest.raises(AssertionError, match="pool of 2 started"):
+                run(argv + ["--parallel", "2"])
+
+    @pytest.mark.parametrize("fixture,command", [
+        ("rp2", "verify --max-n 5"),
+        ("J", "verify --max-n 4"),
+        ("tree4", "verify --max-n 4"),
+        ("permutohedron4", "verify --max-n 4"),
+        ("rp2", "betti --n 9 --format json"),
+    ])
+    def test_pool_output_matches_default(self, monkeypatch, fixture, command):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+        name, *rest = command.split()
+        argv = [name, "--ideal", str(FIXTURE_DIR / f"{fixture}.json"), *rest]
+        serial = run(argv)
+        assert serial[0] == EXIT_OK
+        assert run(argv + ["--parallel", "2"]) == serial
 
 
 class TestRenderTable:

@@ -1,4 +1,8 @@
-"""The block-profile route against the bitmask reference on the upper Koszul complex."""
+"""The block-profile route against the bitmask reference on the upper Koszul complex.
+
+The face walk that builds that complex is itself compared with the walk over
+every subset of the support.
+"""
 
 import itertools
 import operator
@@ -15,7 +19,14 @@ from symbetti import (
     dominates,
     restrict_to_n,
 )
-from symbetti.betti import _betti_dims, _complex_homology, bitmask_betti_dims, profile_boxes
+from symbetti import betti as betti_module
+from symbetti.betti import (
+    _betti_dims,
+    _complex_homology,
+    bitmask_betti_dims,
+    profile_boxes,
+    upper_koszul_complex,
+)
 from symbetti.homology import SimplicialComplex, reduced_homology_dims
 
 from conftest import (
@@ -26,6 +37,7 @@ from conftest import (
     reference_betti_dims,
     reference_candidates,
     reference_profile_boxes,
+    reference_upper_koszul_complex,
 )
 
 # Top level per fixture: every level up to it, in three characteristics,
@@ -98,6 +110,57 @@ def test_characteristic_dependent_degree(ideal_rp2):
     assert _betti_dims(gens, 0, a) == bitmask_betti_dims(gens, 0, a)
     assert _betti_dims(gens, 2, a) == bitmask_betti_dims(gens, 2, a)
     assert _betti_dims(gens, 0, a) != _betti_dims(gens, 2, a)
+
+
+def face_walk(gens, a):
+    """`upper_koszul_complex` at a, and the number of membership tests it made."""
+    calls = 0
+    real = betti_module.contains_monomial
+
+    def spy(gens, b):
+        nonlocal calls
+        calls += 1
+        return real(gens, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti_module, "contains_monomial", spy)
+        cx = upper_koszul_complex(gens, a)
+    return cx, calls
+
+
+def assert_face_walk(gens, a) -> int:
+    """The face walk equals the all-masks walk and tests only faces and minimal non-faces."""
+    cx, calls = face_walk(gens, a)
+    assert cx == reference_upper_koszul_complex(gens, a), a
+    t = cx.vertex_count
+    minimal_nonfaces = [
+        mask for mask in range(1 << t) if mask not in cx.faces
+        and all(mask ^ 1 << j in cx.faces for j in range(t) if mask >> j & 1)]
+    assert calls == len(cx.faces) + len(minimal_nonfaces), a
+    return calls
+
+
+# membership tests over all candidates of one level; the all-masks walk
+# makes 2,528, 14,432, 314 and 224
+FACE_WALK_CALLS = {("rp2", 5): 1355, ("rp2", 6): 8576,
+                   ("tree4", 4): 213, ("permutohedron4", 4): 140}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_LEVELS))
+def test_face_walk_matches_all_masks_on_fixtures(name):
+    # verify builds K^a at level min(max-n, m); every such level for max-n <= 6
+    ideal = SymmetricIdeal.from_parts(FIXTURE_LEVELS[name][0])
+    for level in range(1, min(6, ideal.max_length) + 1):
+        gens = restrict_to_n(ideal, level)
+        calls = sum(assert_face_walk(gens, a) for a in candidate_degrees(ideal, level))
+        if (name, level) in FACE_WALK_CALLS:
+            assert calls == FACE_WALK_CALLS[name, level], level
+
+
+@given(ideals_with_degree())
+def test_face_walk_matches_all_masks_on_random_ideals(drawn):
+    ideal, a = drawn
+    assert_face_walk(restrict_to_n(ideal, len(a)), a)
 
 
 def test_box_rule_on_fixtures():
