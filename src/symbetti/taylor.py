@@ -6,22 +6,28 @@ to the field it gives one chain complex per multidegree a: the subsets whose
 lcm is a, graded by cardinality.  This module uses Lyubeznik's subcomplex of
 it (Lyubeznik, "A new explicit finite free resolution of ideals generated by
 monomials in an R-sequence", 1988; Mermin, "Three simplicial resolutions",
-2012): for generators ordered m_1 < ... < m_k, only the admissible subsets
-{i_1 < ... < i_s}, those where no m_q with q < i_u divides
-lcm(m_{i_u}, ..., m_{i_s}) for any u < s.
+2012): for generators in a total order m_1, ..., m_k, only the admissible
+subsets {i_1 < ... < i_s}, those where no m_q with q < i_u divides
+lcm(m_{i_u}, ..., m_{i_s}) for any u < s.  Any total order gives a free
+resolution; the number of admissible sets depends heavily on the order.
+`strand_basis` uses `lyubeznik_order`, fewest coordinates equal to a first,
+which is a heuristic chosen by measurement, not a proven optimum: on the
+four fixtures through level 6 it leaves from 9% (J) to 72% (tree4) of the
+sets that ascending order gives.
 
-Proof sketch that it is still a free resolution.  Admissible sets are closed
-under subsets: dropping an element keeps every suffix's check or shrinks its
-lcm to a divisor.  A simplicial complex labelled by lcms supports a
-resolution when, for every monomial b, its faces with lcm dividing b form an
-empty or acyclic complex (Bayer, Peeva and Sturmfels).  For the admissible
-sets, let q be the least index with m_q | b; adding m_q to an admissible set
-with lcm dividing b keeps it admissible, since no generator before m_q
-divides b, so these faces form a cone with apex q.  Hence the strand at a
-(`strand_basis`) has the homology of Taylor's, the Betti numbers of the ideal
-at a, with far fewer sets: at (6,5,4,3,2,1) on rp2 Taylor's strand has
-8,384,336 subsets and Lyubeznik's 72.  That homology must agree with the
-upper Koszul route everywhere, which is what the verification suite exploits.
+Proof sketch that it is still a free resolution, for any order.  Admissible
+sets are closed under subsets: dropping an element keeps every suffix's
+check or shrinks its lcm to a divisor.  A simplicial complex labelled by
+lcms supports a resolution when, for every monomial b, its faces with lcm
+dividing b form an empty or acyclic complex (Bayer, Peeva and Sturmfels).
+For the admissible sets, let q be the least index with m_q | b; adding m_q
+to an admissible set with lcm dividing b keeps it admissible, since no
+generator before m_q divides b, so these faces form a cone with apex q.
+Hence the strand at a (`strand_basis`) has the homology of Taylor's, the
+Betti numbers of the ideal at a, with far fewer sets: at (6,5,4,3,2,1) on
+rp2 Taylor's strand has 8,384,336 subsets and Lyubeznik's 40 (72 in
+ascending order).  That homology must agree with the upper Koszul route
+everywhere, which is what the verification suite exploits.
 """
 
 from __future__ import annotations
@@ -81,14 +87,37 @@ def dividing_generators(ideal: SymmetricIdeal, a) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(found))
 
 
+def lyubeznik_order(generators, a) -> tuple[tuple[int, ...], ...]:
+    """The generators dividing x^a, in the order `strand_basis` indexes them.
+
+    Fewest coordinates equal to a come first, ties in ascending order, so
+    the order depends on the set of generators only, not on how they are
+    listed.  A generator equal to a in few coordinates tends to divide many
+    lcms, and placed early it makes more later suffixes inadmissible.  The
+    order is a measured heuristic, not a proven optimum (module docstring).
+    Past `GENERATOR_CAP` divisors, where `strand_basis` refuses the degree,
+    it raises `GeneratorCapError` before ordering them.
+    """
+    a = tuple(a)
+    divisors = [g for g in generators if len(g) == len(a) and all(map(operator.le, g, a))]
+    if len(divisors) > GENERATOR_CAP:
+        raise GeneratorCapError(
+            f"{len(divisors)} generators divide the degree; the cap is {GENERATOR_CAP}"
+        )
+    return tuple(sorted(divisors, key=lambda g: (sum(map(operator.eq, g, a)), g)))
+
+
 def strand_basis(generators, a) -> dict[int, list[int]]:
     """Graded basis of the degree-a strand of the Lyubeznik resolution.
 
-    A set is a bitmask over the sorted generators m_0 < ... < m_{k-1} that
-    divide a, keyed by its size minus one (the convention for the ideal
-    itself, not its quotient ring, so homology aligns with the Betti numbers
-    of the ideal with no shift).  The strand is the admissible sets (module
-    docstring) whose lcm is a.  They are closed under subsets, so
+    A set is a bitmask over the generators m_0, ..., m_{k-1} that divide a,
+    keyed by its size minus one (the convention for the ideal itself, not
+    its quotient ring, so homology aligns with the Betti numbers of the
+    ideal with no shift).  Bit q stands for the q-th generator of
+    `lyubeznik_order`.  Any total order gives a resolution with the same
+    ranks; this one is a measured heuristic that shrinks the strand, not a
+    proven optimum.  The strand is the admissible sets (module docstring)
+    whose lcm is a.  They are closed under subsets, so
     `homology.boundary_matrix` on the strand drops one element at a time and
     keeps exactly the terms where the lcm is unchanged.  Every m_q divides a,
     so each such set contains m_0: with two or more members, a first index
@@ -102,14 +131,7 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
     pairwise indivisible, as minimal generators are.
     """
     a = tuple(a)
-    divisors = tuple(sorted(
-        g for g in generators
-        if len(g) == len(a) and all(map(operator.le, g, a))
-    ))
-    if len(divisors) > GENERATOR_CAP:
-        raise GeneratorCapError(
-            f"{len(divisors)} generators divide the degree; the cap is {GENERATOR_CAP}"
-        )
+    divisors = lyubeznik_order(generators, a)
     full = (1 << len(a)) - 1
     hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
     prefix = list(itertools.accumulate(hits, operator.or_))

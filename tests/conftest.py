@@ -163,6 +163,48 @@ def reference_upper_koszul_complex(gens, a):
     return SimplicialComplex(t, frozenset(faces))
 
 
+def reference_lyubeznik_basis(generators, a):
+    """Reference for `taylor.strand_basis`: the Lyubeznik strand for ascending generator order.
+
+    The walk the oracle made before it ordered the divisors by
+    `taylor.lyubeznik_order`: bit q is the q-th divisor of a in ascending
+    lexicographic order.  Same grading and caps as the oracle; the strand
+    differs, its homology does not.
+    """
+    a = tuple(a)
+    divisors = tuple(sorted(
+        g for g in generators if len(g) == len(a) and all(map(operator.le, g, a))))
+    if len(divisors) > GENERATOR_CAP:
+        raise GeneratorCapError(f"{len(divisors)} generators divide the degree")
+    full = (1 << len(a)) - 1
+    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
+    prefix = list(itertools.accumulate(hits, operator.or_))
+    basis = {}
+    visited = 0
+
+    def grow(top, lcm, covered, chosen):
+        nonlocal visited
+        for j in range(top - 1, -1, -1):
+            if covered | prefix[j] != full:
+                break
+            ext = tuple(map(max, lcm, divisors[j]))
+            if any(all(map(operator.le, divisors[q], ext)) for q in range(j)):
+                continue
+            visited += 1
+            if visited > _STRAND_CAP:
+                raise GeneratorCapError("degree strand is too large to enumerate")
+            s = chosen | 1 << j
+            if j:
+                grow(j, ext, covered | hits[j], s)
+            else:
+                basis.setdefault(s.bit_count() - 1, []).append(s)
+
+    grow(len(divisors), (0,) * len(a), 0, 0)
+    for group in basis.values():
+        group.sort()
+    return basis
+
+
 def reference_taylor_basis(generators, a):
     """Reference for `taylor.strand_basis`: the full Taylor strand, every subset whose lcm is a.
 

@@ -20,13 +20,14 @@ from symbetti import (
     taylor_strand_tor,
 )
 from symbetti.cli import main
-from symbetti.taylor import _MATRIX_CAP, dividing_generators
+from symbetti.taylor import _MATRIX_CAP, dividing_generators, lyubeznik_order
 from conftest import (
     J_PARTS,
     PERM4_PARTS,
     RP2_PARTS,
     TREE4_PARTS,
     random_ideal,
+    reference_lyubeznik_basis,
     reference_taylor_basis,
 )
 
@@ -104,6 +105,17 @@ def _oracle_tor(divisors, a, characteristic):
         return None
 
 
+def _ascending_basis(divisors, a):
+    """The ascending-order Lyubeznik strand, or None where the oracle's caps refuse it."""
+    try:
+        basis = reference_lyubeznik_basis(divisors, a)
+    except GeneratorCapError:
+        return None
+    if basis and max(map(len, basis.values())) > _MATRIX_CAP:
+        return None
+    return basis
+
+
 @pytest.fixture(scope="module")
 def fixture_strands():
     """Per fixture and level 1-6, each candidate with its divisors and Taylor reference basis."""
@@ -115,6 +127,26 @@ def fixture_strands():
                             for a in candidate_degrees(ideal, n)
                             for divisors in [dividing_generators(ideal, a)]]
     return out
+
+
+@pytest.fixture(scope="module")
+def ascending_strands():
+    """Per fixture and level 1-6, each candidate with its divisors and ascending-order strand."""
+    out = {}
+    for name, parts in FIXTURES.items():
+        ideal = SymmetricIdeal.from_parts(parts)
+        for n in range(1, 7):
+            out[name, n] = [(a, divisors, _ascending_basis(divisors, a))
+                            for a in candidate_degrees(ideal, n)
+                            for divisors in [dividing_generators(ideal, a)]]
+    return out
+
+
+def _strand_size(divisors, a):
+    try:
+        return sum(map(len, strand_basis(divisors, a).values()))
+    except GeneratorCapError:
+        return 0
 
 
 class TestExpandGenerators:
@@ -184,10 +216,13 @@ class TestStrandTor:
     @given(antichains())
     def test_basis_is_the_admissible_part_of_the_taylor_strand(self, case):
         a, gens = case
-        taylor = set(_flatten(reference_taylor_basis(gens, a)))
+        # bitmasks index the divisors of a in Lyubeznik order; the Taylor
+        # reference indexes them in ascending order, so its masks are carried over
+        divisors = lyubeznik_order(gens, a)
+        place = [divisors.index(g) for g in sorted(divisors)]
+        taylor = {sum(1 << place[k] for k in range(len(place)) if s >> k & 1)
+                  for s in _flatten(reference_taylor_basis(gens, a))}
         basis = strand_basis(gens, a)
-        # bitmasks index the divisors of a, in order
-        divisors = [g for g in gens if all(map(operator.le, g, a))]
         got = _flatten(basis)
         assert all(s.bit_count() == d + 1 for d, group in basis.items() for s in group)
         assert got == sorted(s for s in taylor if _admissible(divisors, s))
@@ -216,6 +251,52 @@ class TestStrandTor:
                     assert _oracle_tor(divisors, a, p) == chain_homology(taylor, p), (name, n, a)
                     compared += 1
         assert compared == 365
+
+    @given(antichains())
+    def test_ranks_match_ascending_order_on_antichains(self, case):
+        a, divisors = case
+        ascending = _ascending_basis(divisors, a)
+        for p in (0, 2, 3):
+            expected = None if ascending is None else chain_homology(ascending, p)
+            assert _oracle_tor(divisors, a, p) == expected, p
+
+    @pytest.mark.parametrize("p", [0, 2, 3])
+    def test_ranks_match_ascending_order_on_fixtures(self, ascending_strands, p):
+        compared = 0
+        for (name, n), strands in ascending_strands.items():
+            for a, divisors, ascending in strands:
+                # the only refusals on the fixtures are over the generator cap,
+                # which does not depend on the order
+                ours = _oracle_tor(divisors, a, p)
+                assert (ours is None) == (ascending is None), (name, n, a)
+                if ascending is not None:
+                    assert ours == chain_homology(ascending, p), (name, n, a)
+                    compared += 1
+        assert compared == 424
+
+    @given(antichains(), st.randoms(use_true_random=False))
+    def test_basis_ignores_input_order(self, case, rng):
+        a, gens = case
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        basis = strand_basis(gens, a)
+        assert strand_basis(gens[::-1], a) == basis
+        assert strand_basis(shuffled, a) == basis
+        assert lyubeznik_order(shuffled, a) == lyubeznik_order(gens, a)
+
+    def test_strand_sizes_on_fixtures(self, ascending_strands):
+        sizes = {}
+        for (name, n), strands in ascending_strands.items():
+            sizes.setdefault(name, []).append((
+                sum(sum(map(len, b.values())) for _, _, b in strands if b is not None),
+                sum(_strand_size(d, a) for a, d, _ in strands)))
+        # sets per level 1-6, ascending order against Lyubeznik order
+        assert sizes == {
+            "J": [(0, 0), (3, 3), (15, 9), (70, 22), (338, 50), (1_639, 111)],
+            "tree4": [(1, 1), (3, 3), (7, 7), (15, 15), (44, 36), (190, 124)],
+            "permutohedron4": [(0, 0)] * 3 + [(251, 69), (377, 153), (540, 298)],
+            "rp2": [(0, 0)] * 4 + [(978, 276), (2_539, 1_027)],
+        }
 
     def test_skips_never_exceed_taylor(self, fixture_strands):
         for (name, n), strands in fixture_strands.items():
