@@ -43,7 +43,13 @@ from .stability import (
     segment_set_payload,
     segments,
 )
-from .taylor import GeneratorCapError, dividing_generators, taylor_strand_tor
+from .taylor import (
+    GENERATOR_CAP,
+    GeneratorCapError,
+    count_dividing_generators,
+    dividing_generators,
+    taylor_strand_tor,
+)
 # not called here, but perfbench/tracer.py wraps symbetti.cli.expand_generators
 from .taylor import expand_generators  # noqa: F401
 
@@ -244,6 +250,9 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
                 if direct != reference:
                     bad_complexes.append(
                         f"block-profile ranks {direct} vs complex ranks {reference} at degree {a}")
+            if count_dividing_generators(ideal, a) > GENERATOR_CAP:
+                oracle_skipped += 1  # refused before its divisors are listed
+                continue
             try:
                 strand = taylor_strand_tor(dividing_generators(ideal, a), a, ideal.characteristic)
             except GeneratorCapError:

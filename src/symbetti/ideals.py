@@ -8,7 +8,6 @@ all reduce to componentwise comparisons of sorted sequences.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -200,10 +199,16 @@ def contains_monomial(gens: Iterable, a: Sequence[int]) -> bool:
     """Membership of x^a in the ideal generated by the given partitions.
 
     `gens` must already be restricted to the ambient variable count (see
-    restrict_to_n); `a` may be unsorted.
+    restrict_to_n); `a` may be unsorted.  Each generator's parts are
+    compared with the sorted exponents as in `dominates`.
     """
     s = sorted(a, reverse=True)
-    return any(dominates(s, g) for g in gens)
+    n = len(s)
+    for g in gens:
+        parts = g.parts
+        if len(parts) <= n and all(map(operator.le, parts, s)):
+            return True
+    return False
 
 
 def orbit_size(a: Sequence[int], n: int | None = None) -> int:
@@ -238,28 +243,60 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     The repeated-tail shape forced by symmetry is generated, not filtered
     for: with m the largest generator length, a degree supported on t
     positions is a weakly decreasing head of min(t, m) generator parts, its
-    last entry repeated through position t, then zeros.  A degree is kept
-    when its monomial lies in the ideal and no orbit generator divides it
-    without shrinking the support (such degrees are always acyclic).  From
+    last entry repeated through position t, then zeros.  A head is kept
+    when some generator g dominates it (its monomial lies in the ideal) and
+    no generator dominates head - 1 (otherwise g divides x^a without
+    shrinking the support, and such degrees are always acyclic).  From
     t = m on both tests read only the head, as no generator is longer than
     m, so each head kept at t = m is emitted once per t = m..n and the count
     grows linearly in n.
+
+    The heads are walked depth first, one part appended at a time, over the
+    generators still alive: `fit`, those whose first len(head) parts are at
+    most the head's, and `below`, those whose first len(head) parts are at
+    most head - 1.  A generator dominates a head of length t exactly when it
+    is in `fit` and has at most t parts, and dominates head - 1 exactly when
+    it is in `below` and has at most t parts.  Two prunes drop a head with
+    all its extensions:
+
+    - `fit` is empty.  Appending parts only adds conditions, so no
+      generator fits under any extension and none is in the ideal.
+    - some g in `below` has length at most len(head).  Its parts all sit
+      under head - 1, which is a prefix of every extension minus one, so g
+      dominates extension - 1 and every extension is acyclic.
+
+    Appending a smaller part only tightens the conditions, so among the
+    parts tried at one depth, in descending order, `fit` and `below` shrink
+    and the first empty `fit` ends the loop.  Generators are padded with
+    zeros past their length, so "at most t parts" reads as a zero at index
+    t and a padded zero fits under any part.
     """
     gens = restrict_to_n(ideal, n)
     if not gens:
         return []
     parts = sorted({p for g in gens for p in g.parts}, reverse=True)
     m = max(g.length for g in gens)
+    padded = [g.parts + (0,) * (m + 1 - g.length) for g in gens]
     out = []
-    for t in range(1, m + 1):
-        for head in itertools.combinations_with_replacement(parts, t):
-            if not any(dominates(head, g) for g in gens):
+
+    def walk(head, start, fit, below):
+        t = len(head)
+        for j in range(start, len(parts)):
+            p = parts[j]
+            fit = [g for g in fit if g[t] <= p]
+            if not fit:
+                break
+            below = [g for g in below if g[t] < p]
+            # below keeps only generators longer than t; one whose parts end
+            # at index t fits under longer - 1: the second prune
+            if any(not g[t + 1] for g in below):
                 continue
-            # a generator that fits under head - 1 divides x^a without
-            # killing any variable
-            interior = tuple(e - 1 for e in head)
-            if any(dominates(interior, g) for g in gens):
-                continue
-            tails = range(t, n + 1) if t == m else (t,)
-            out.extend(head + head[-1:] * (u - t) + (0,) * (n - u) for u in tails)
+            longer = head + (p,)
+            if any(not g[t + 1] for g in fit):
+                tails = range(t + 1, n + 1) if t + 1 == m else (t + 1,)
+                out.extend(longer + (p,) * (u - t - 1) + (0,) * (n - u) for u in tails)
+            if t + 1 < m:
+                walk(longer, j, fit, below)
+
+    walk((), 0, padded, padded)
     return sorted(out, reverse=True)

@@ -28,11 +28,17 @@ Betti numbers of the ideal at a, with far fewer sets: at (6,5,4,3,2,1) on
 rp2 Taylor's strand has 8,384,336 subsets and Lyubeznik's 40 (72 in
 ascending order).  That homology must agree with the upper Koszul route
 everywhere, which is what the verification suite exploits.
+
+The walk holds each exponent vector as one integer, coordinate k in a
+field of w = max(a).bit_length() + 1 bits whose top bit is a guard, so a
+divisibility test or an lcm is a few integer operations on the whole
+vector; `strand_basis` states the layout and why no borrow crosses a field.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .homology import chain_homology
@@ -87,6 +93,43 @@ def dividing_generators(ideal: SymmetricIdeal, a) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(found))
 
 
+def count_dividing_generators(ideal: SymmetricIdeal, a) -> int:
+    """`len(dividing_generators(ideal, a))`, counted without listing them.
+
+    A partition's dividing rearrangements place its parts of each distinct
+    value v, largest first, on mult_v of the slots with a_k >= v that the
+    parts above v have not taken: C(#{k : a_k >= v} - #{parts > v}, mult_v)
+    ways.  Distinct partitions give distinct vectors, so the count is the
+    sum over generators of the product over v.  Once a factor is zero the
+    product stops; before that, every argument is nonnegative, since a
+    nonzero factor at v' leaves #{k : a_k >= v'} >= #{parts >= v'}.
+    `verify` applies `GENERATOR_CAP` to this count, so the divisors of a
+    degree it refuses are never listed.
+    """
+    s = sorted(a, reverse=True)
+    n = len(s)
+    total = 0
+    for g in restrict_to_n(ideal, n):
+        parts = g.parts
+        ways = 1
+        # c counts the entries of a that are >= v; k, the number of parts
+        # above v, is where the run of v starts
+        c = k = 0
+        while k < len(parts):
+            v = parts[k]
+            end = k + 1
+            while end < len(parts) and parts[end] == v:
+                end += 1
+            while c < n and s[c] >= v:
+                c += 1
+            ways *= math.comb(c - k, end - k)
+            if not ways:
+                break
+            k = end
+        total += ways
+    return total
+
+
 def lyubeznik_order(generators, a) -> tuple[tuple[int, ...], ...]:
     """The generators dividing x^a, in the order `strand_basis` indexes them.
 
@@ -129,12 +172,29 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
     smaller indices can no longer complete that mask, and the walk is
     refused after `_STRAND_CAP` admissible sets.  The generators must be
     pairwise indivisible, as minimal generators are.
+
+    The walk compares exponent vectors as packed integers.  With
+    w = max(a).bit_length() + 1, coordinate k of a vector occupies bits
+    k*w .. k*w + w - 1, and the top bit of each field is a guard, set in
+    the constant G and clear in every packed vector: every entry is a
+    coordinate of a divisor of a or of an lcm of such, so at most
+    max(a) < 2^(w-1).  In (e | G) - g each field holds 2^(w-1) + e_k - g_k,
+    which lies in [1, 2^w) and so borrows nothing from the field above; its
+    guard bit survives exactly when g_k <= e_k.  Hence g divides e iff
+    ((e | G) - g) & G == G.  For the lcm, the surviving guard bits R give
+    R - (R >> (w - 1)), which fills the w - 1 value bits of exactly the
+    fields where e_k >= g_k; e is taken there and g elsewhere.
     """
     a = tuple(a)
     divisors = lyubeznik_order(generators, a)
     full = (1 << len(a)) - 1
     hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
     prefix = list(itertools.accumulate(hits, operator.or_))
+    low = max(a, default=0).bit_length()
+    width = low + 1
+    guard = sum(1 << (k * width + low) for k in range(len(a)))
+    packed = [sum(e << (k * width) for k, e in enumerate(d)) for d in divisors]
+    earlier = [packed[:j] for j in range(len(packed))]
     basis: dict[int, list[int]] = {}
     visited = 0
 
@@ -143,8 +203,11 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
         for j in range(top - 1, -1, -1):
             if covered | prefix[j] != full:
                 break
-            ext = tuple(map(max, lcm, divisors[j]))
-            if any(all(map(operator.le, divisors[q], ext)) for q in range(j)):
+            g = packed[j]
+            wins = ((lcm | guard) - g) & guard
+            ext = g ^ ((lcm ^ g) & (wins - (wins >> low)))
+            ext_guarded = ext | guard
+            if guard in map(guard.__and__, map(ext_guarded.__sub__, earlier[j])):
                 continue  # some m_q with q < j divides the new suffix lcm: not admissible
             visited += 1
             if visited > _STRAND_CAP:
@@ -155,7 +218,7 @@ def strand_basis(generators, a) -> dict[int, list[int]]:
             else:  # at j = 0 the test above left the cover full: lcm a
                 basis.setdefault(s.bit_count() - 1, []).append(s)
 
-    grow(len(divisors), (0,) * len(a), 0, 0)
+    grow(len(divisors), 0, 0, 0)
     for group in basis.values():
         group.sort()
     return basis

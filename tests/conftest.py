@@ -16,7 +16,7 @@ from symbetti.ideals import (
     encode_runs,
     restrict_to_n,
 )
-from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError
+from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError, lyubeznik_order
 
 settings.register_profile("suite", max_examples=50, deadline=None)
 settings.load_profile("suite")
@@ -100,6 +100,33 @@ def reference_candidates(ideal, n, prune_same_support=True):
     return out
 
 
+def reference_head_candidates(ideal, n):
+    """Reference for `candidate_degrees`: every weakly decreasing head, tested in full.
+
+    The enumeration before the pruned walk: each head of t <= m generator
+    parts from `combinations_with_replacement` is kept when a generator
+    dominates it and none dominates head - 1, then given its repeated tail.
+    """
+    gens = restrict_to_n(ideal, n)
+    if not gens:
+        return []
+    parts = sorted({p for g in gens for p in g.parts}, reverse=True)
+    m = max(g.length for g in gens)
+    out = []
+    for t in range(1, m + 1):
+        for head in itertools.combinations_with_replacement(parts, t):
+            if not any(dominates(head, g) for g in gens):
+                continue
+            # a generator that fits under head - 1 divides x^a without
+            # killing any variable
+            interior = tuple(e - 1 for e in head)
+            if any(dominates(interior, g) for g in gens):
+                continue
+            tails = range(t, n + 1) if t == m else (t,)
+            out.extend(head + head[-1:] * (u - t) + (0,) * (n - u) for u in tails)
+    return sorted(out, reverse=True)
+
+
 def reference_profile_boxes(gens, a):
     """Reference for `profile_boxes`: box entries first, then the part values that are no block value."""
     a = sorted(a, reverse=True)
@@ -161,6 +188,44 @@ def reference_upper_koszul_complex(gens, a):
         if contains_monomial(gens, b):
             faces.append(mask)
     return SimplicialComplex(t, frozenset(faces))
+
+
+def reference_tuple_basis(generators, a):
+    """Reference for `taylor.strand_basis`: the same walk on exponent tuples.
+
+    The oracle's walk before it packed exponent vectors into integers: the
+    suffix lcm is a tuple of maxima and divisibility a componentwise
+    comparison.  Same divisor order, strand and caps as the oracle.
+    """
+    a = tuple(a)
+    divisors = lyubeznik_order(generators, a)
+    full = (1 << len(a)) - 1
+    hits = [sum(1 << k for k, (x, y) in enumerate(zip(d, a)) if x == y) for d in divisors]
+    prefix = list(itertools.accumulate(hits, operator.or_))
+    basis = {}
+    visited = 0
+
+    def grow(top, lcm, covered, chosen):
+        nonlocal visited
+        for j in range(top - 1, -1, -1):
+            if covered | prefix[j] != full:
+                break
+            ext = tuple(map(max, lcm, divisors[j]))
+            if any(all(map(operator.le, divisors[q], ext)) for q in range(j)):
+                continue  # some m_q with q < j divides the new suffix lcm: not admissible
+            visited += 1
+            if visited > _STRAND_CAP:
+                raise GeneratorCapError("degree strand is too large to enumerate")
+            s = chosen | 1 << j
+            if j:
+                grow(j, ext, covered | hits[j], s)
+            else:  # at j = 0 the test above left the cover full: lcm a
+                basis.setdefault(s.bit_count() - 1, []).append(s)
+
+    grow(len(divisors), (0,) * len(a), 0, 0)
+    for group in basis.values():
+        group.sort()
+    return basis
 
 
 def reference_lyubeznik_basis(generators, a):

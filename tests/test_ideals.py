@@ -25,6 +25,7 @@ from conftest import (
     TREE4_PARTS,
     random_ideal,
     reference_candidates,
+    reference_head_candidates,
 )
 
 partitions = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
@@ -216,6 +217,12 @@ class TestCandidateDegrees:
 antichains = st.lists(partitions, min_size=2, max_size=4).map(
     lambda ps: SymmetricIdeal.from_parts(p.parts for p in ps))
 
+# longer generators with larger parts, one generator allowed
+wide_antichains = st.lists(
+    st.lists(st.integers(1, 7), min_size=1, max_size=5).map(
+        lambda xs: sorted(xs, reverse=True)),
+    min_size=1, max_size=4).map(SymmetricIdeal.from_parts)
+
 
 def assert_forced_shape(ideal, n, cands):
     """Each degree is sorted, in the ideal, drawn from the parts, with its tail repeated past m."""
@@ -234,7 +241,7 @@ class TestCandidateDegreesAgainstWalk:
     """The shaped enumeration equals the filtered walk, list and order."""
 
     @pytest.mark.parametrize("parts,top", [
-        (J_PARTS, 20), (TREE4_PARTS, 20), (PERM4_PARTS, 20), (RP2_PARTS, 10)],
+        (J_PARTS, 20), (TREE4_PARTS, 20), (PERM4_PARTS, 20), (RP2_PARTS, 12)],
         ids=["J", "tree4", "permutohedron4", "rp2"])
     def test_fixtures(self, parts, top):
         ideal = SymmetricIdeal.from_parts(parts)
@@ -244,6 +251,19 @@ class TestCandidateDegreesAgainstWalk:
     @given(antichains, st.integers(1, 8))
     def test_random_antichains(self, ideal, n):
         assert candidate_degrees(ideal, n) == reference_candidates(ideal, n)
+
+    @pytest.mark.parametrize("parts", [J_PARTS, TREE4_PARTS, PERM4_PARTS, RP2_PARTS],
+                             ids=["J", "tree4", "permutohedron4", "rp2"])
+    def test_pruned_walk_on_fixtures(self, parts):
+        ideal = SymmetricIdeal.from_parts(parts)
+        for n in range(1, 13):
+            assert candidate_degrees(ideal, n) == reference_head_candidates(ideal, n), n
+
+    @given(wide_antichains, st.integers(1, 8))
+    def test_pruned_walk_on_random_antichains(self, ideal, n):
+        cands = candidate_degrees(ideal, n)
+        assert cands == reference_head_candidates(ideal, n)
+        assert cands == reference_candidates(ideal, n)
 
     @pytest.mark.parametrize("parts,n,count", [(RP2_PARTS, 40, 6589), (RP2_PARTS, 100, 17749),
                                                (TREE4_PARTS, 100, 1372)],

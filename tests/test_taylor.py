@@ -20,7 +20,12 @@ from symbetti import (
     taylor_strand_tor,
 )
 from symbetti.cli import main
-from symbetti.taylor import _MATRIX_CAP, dividing_generators, lyubeznik_order
+from symbetti.taylor import (
+    _MATRIX_CAP,
+    count_dividing_generators,
+    dividing_generators,
+    lyubeznik_order,
+)
 from conftest import (
     J_PARTS,
     PERM4_PARTS,
@@ -29,6 +34,7 @@ from conftest import (
     random_ideal,
     reference_lyubeznik_basis,
     reference_taylor_basis,
+    reference_tuple_basis,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -73,6 +79,28 @@ def antichains(draw):
                                       min_size=1, max_size=10)))
     chosen = draw(st.integers(1, (1 << len(gens)) - 1))
     return _lcm(gens, chosen), gens
+
+
+# values at the edges of the packed field widths: all ones below a power of
+# two, and the power itself, which needs one more bit
+EDGES = (0, 1, 3, 4, 7, 8, 15, 16)
+
+
+@st.composite
+def edge_antichains(draw):
+    """Pairwise indivisible vectors over `EDGES`, and a degree.
+
+    Each coordinate of the degree is that of the lcm of some of the vectors
+    or, at random, the larger of it and another edge value, so zero
+    coordinates and coordinates above every divisor both occur.
+    """
+    n = draw(st.integers(1, 4))
+    gens = _minimal(draw(st.lists(st.tuples(*[st.sampled_from(EDGES)] * n),
+                                  min_size=1, max_size=10)))
+    lcm = _lcm(gens, draw(st.integers(1, (1 << len(gens)) - 1)))
+    raised = draw(st.tuples(*[st.sampled_from(EDGES)] * n))
+    a = tuple(max(x, y) if draw(st.booleans()) else x for x, y in zip(lcm, raised))
+    return a, gens
 
 
 def _admissible(divisors, mask):
@@ -178,6 +206,33 @@ class TestDividingGenerators:
                     g for g in expanded if all(map(operator.le, g, a))), (n, a)
 
 
+class TestCountDividingGenerators:
+    def test_equals_listing_on_fixtures(self, fixture_strands):
+        counted = 0
+        for (name, n), strands in fixture_strands.items():
+            ideal = SymmetricIdeal.from_parts(FIXTURES[name])
+            for a, divisors, _ in strands:
+                assert count_dividing_generators(ideal, a) == len(divisors), (name, n, a)
+                counted += 1
+        assert counted == 612  # every candidate through level 6, 188 of them over the cap
+
+    @given(st.sets(st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
+               lambda xs: tuple(sorted(xs, reverse=True))), min_size=1, max_size=4),
+           st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    def test_equals_listing_on_random_ideals(self, parts, a):
+        ideal = SymmetricIdeal.from_parts(parts)
+        assert count_dividing_generators(ideal, a) == len(dividing_generators(ideal, a))
+
+    def test_more_parts_than_slots(self):
+        # the two 5s have one slot at (5,0,0): the product stops at
+        # C(1, 2) = 0 before C(1 - 2, 1) would reach math.comb
+        ideal = SymmetricIdeal.from_parts([[5, 5, 1]])
+        assert count_dividing_generators(ideal, (5, 0, 0)) == 0
+        assert count_dividing_generators(ideal, (1, 0, 0)) == 0
+        assert count_dividing_generators(ideal, (5, 5, 1)) == 1
+        assert count_dividing_generators(ideal, (5, 5, 5)) == 3
+
+
 class TestStrandTor:
     def test_single_generator(self):
         assert taylor_strand_tor(((1, 1),), (1, 1)) == {0: 1}
@@ -274,6 +329,11 @@ class TestStrandTor:
                     compared += 1
         assert compared == 424
 
+    @given(st.one_of(antichains(), edge_antichains()))
+    def test_packed_walk_equals_tuple_walk(self, case):
+        a, gens = case
+        assert strand_basis(gens, a) == reference_tuple_basis(gens, a)
+
     @given(antichains(), st.randoms(use_true_random=False))
     def test_basis_ignores_input_order(self, case, rng):
         a, gens = case
@@ -307,6 +367,13 @@ class TestStrandTor:
         assert main(["verify", "--ideal", str(ROOT / "ideals" / "rp2.json"),
                      "--max-n", "5", "--parallel", "1"], out=out) == 0
         assert ("generator-subset oracle agreement (25 degrees over the enumeration cap skipped)"
+                in out.getvalue())
+
+    def test_verify_skip_count_at_level_six(self):
+        out = io.StringIO()
+        assert main(["verify", "--ideal", str(ROOT / "ideals" / "rp2.json"),
+                     "--max-n", "6"], out=out) == 0
+        assert ("generator-subset oracle agreement (165 degrees over the enumeration cap skipped)"
                 in out.getvalue())
 
     def test_agrees_with_homology_route(self, ideal_j, ideal_tree):
