@@ -56,9 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import operator
-import os
 from dataclasses import dataclass
 
 from .homology import (
@@ -218,8 +216,7 @@ def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> di
 
     The same few D_h recur at every degree and every level (63 distinct
     ones for rp2 at n = 9 and at n = 40), so they are ranked once per
-    process; forked pool workers inherit the entries.  Callers must not
-    mutate the result.
+    process.  Callers must not mutate the result.
     """
     return chain_homology(faces_by_dim(SimplicialComplex.from_masks(r, facets)), characteristic)
 
@@ -303,55 +300,37 @@ def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
     return sorted((i0, e, coef) for (i0, e), coef in coefs.items())
 
 
-def _unit_worker(args):
-    """One work unit: a family's terms from its head, or one degree's ranks."""
-    gens, characteristic, a, family = args
-    return family_terms(gens, characteristic, a) if family else _betti_dims(gens, characteristic, a)
-
-
-def betti_set(ideal: SymmetricIdeal, n: int, processes: int = 1) -> BettiSet:
+def betti_set(ideal: SymmetricIdeal, n: int) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
     Only sorted degree representatives are stored.  A work unit is one
     degree of support below m, ranked by `_betti_dims`, or one family of
-    degrees of support m or more that share a head, ranked from the head's
-    `family_terms`.  By default the units run in this process.  With
-    processes > 1 they are fanned out to a pool of at most `processes`
-    workers, and no more than there are units or cores; the result is merged
-    deterministically either way.  The pool has not paid for its start-up at
-    any size measured (README, "Flags"), so the CLI asks for it only when
-    given `--parallel K` with K > 1.
+    degrees of support m or more that share a head, ranked once from the
+    head's `family_terms`.  The units run in this process, one after another:
+    a process pool's start-up cost more than it saved at every size measured
+    (README, "Flags").
     """
     cands = candidate_degrees(ideal, n)
     gens = tuple(g.parts for g in restrict_to_n(ideal, n))
+    p = ideal.characteristic
     m = max(map(len, gens), default=0)
     # a degree of support m or more is its head a[:m], last entry repeated
     families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    units = []
+    records = []
     for a in cands:
         head = a[:m]
         if not a[m - 1]:
-            units.append((gens, ideal.characteristic, a, False))
+            records.extend(BettiRecord(i, a, rank) for i, rank in _betti_dims(gens, p, a).items())
         elif head in families:
             families[head].append(a)
         else:
             families[head] = [a]
-            units.append((gens, ideal.characteristic, head, True))
-    workers = min(processes, len(units), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_unit_worker, units)
-    else:
-        results = list(map(_unit_worker, units))
-    records = []
-    for (_, _, a, family), result in zip(units, results):
-        if not family:
-            records.extend(BettiRecord(i, a, rank) for i, rank in result.items())
-            continue
-        for member in families[a]:
-            s = member.count(a[-1])  # the last block, s0 + (t - m)
+    for head, members in families.items():
+        terms = family_terms(gens, p, head)
+        for member in members:
+            s = member.count(head[-1])  # the last block, s0 + (t - m)
             dims: dict[int, int] = {}
-            for i0, e, coef in result:
+            for i0, e, coef in terms:
                 dims[i0 + s] = dims.get(i0 + s, 0) + coef * math.comb(s - 1, e)
             records.extend(BettiRecord(i, member, rank) for i, rank in dims.items())
     return BettiSet(n, frozenset(records))

@@ -113,7 +113,7 @@ def _print_json(payload, out):
 
 
 def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
-    bs = betti_set(ideal, args.n, processes=args.parallel)
+    bs = betti_set(ideal, args.n)
     table = graded_table(bs)
     if args.multigraded or args.format == "json":
         payload = betti_set_payload(bs)
@@ -132,9 +132,8 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
     m = ideal.max_length
     if args.n < m:
         raise ValueError(f"--n must be at least the stabilization level {m}")
-    f_levels = {t: betti_set(ideal, t, processes=args.parallel) for t in range(1, m + 1)}
-    report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels,
-                                   processes=args.parallel)
+    f_levels = {t: betti_set(ideal, t) for t in range(1, m + 1)}
+    report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels)
     if not report.passed:
         raise ConsistencyError("composed positions disagree with direct computation",
                                report.counterexamples)
@@ -179,7 +178,7 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
 
 
 def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
-    seg = segments(ideal, processes=args.parallel)
+    seg = segments(ideal)
     if args.format == "json":
         _print_json({"segments": segment_set_payload(seg)}, out)
         return EXIT_OK
@@ -193,7 +192,7 @@ def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
 
 
 def _cmd_asymptotics(ideal: SymmetricIdeal, args, out) -> int:
-    profile = asymptotics(ideal, seg=segments(ideal, processes=args.parallel))
+    profile = asymptotics(ideal, seg=segments(ideal))
     if args.format == "json":
         _print_json({"asymptotics": asymptotics_payload(profile)}, out)
         return EXIT_OK
@@ -229,8 +228,7 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
         p = ideal.characteristic if char is None else char
         key = (n, p)
         if key not in cache:
-            cache[key] = betti_set(replace(ideal, characteristic=p), n,
-                                   processes=args.parallel)
+            cache[key] = betti_set(replace(ideal, characteristic=p), n)
         return cache[key]
 
     # one walk over the levels: every candidate against the oracle, and at
@@ -314,9 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_n:
             p.add_argument("--n", type=int, required=True, help="number of variables")
         p.add_argument("--parallel", type=int, default=1,
-                       help="processes for the fan-out of work units (default: 1, no "
-                            "pool; a pool's start-up cost more than it saved at every "
-                            "size measured)")
+                       help="accepted for compatibility and ignored: every command "
+                            "runs in one process (K < 1 is still invalid input)")
         p.add_argument("--characteristic", type=int, default=None,
                        help="override the characteristic from the ideal file")
 

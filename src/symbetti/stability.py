@@ -307,8 +307,7 @@ def compose_betti(ideal: SymmetricIdeal, n: int, f_levels) -> tuple[CompactRecor
     return tuple(sorted(out))
 
 
-def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None,
-             processes: int = 1) -> SegmentSet:
+def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None) -> SegmentSet:
     """Segment description of the graded tables from the stabilization level on.
 
     Each all-positive record (i, a) at level m gives the start (i, |a| - i,
@@ -318,10 +317,9 @@ def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None,
         raise ZeroIdealError("the zero ideal has no segment description")
     m = ideal.max_length
     if f_top is None:
-        f_top = betti_set(ideal, m, processes=processes).F()
+        f_top = betti_set(ideal, m).F()
     if bs_below is None:
-        bs_below = (betti_set(ideal, m - 1, processes=processes) if m >= 2
-                    else BettiSet(0, frozenset()))
+        bs_below = betti_set(ideal, m - 1) if m >= 2 else BettiSet(0, frozenset())
     base = frozenset(bs_below.graded_positions())
     sums: dict[tuple[int, int, int], int] = {}
     for r in f_top:
@@ -445,14 +443,12 @@ def check_stable_composition(ideal: SymmetricIdeal, n: int, f_levels,
     return CheckReport(not bad, tuple(bad), tuple(notes))
 
 
-def rank_stability_report(ideal: SymmetricIdeal, f_levels, extra_levels: int = 2,
-                          processes: int = 1) -> CheckReport:
+def rank_stability_report(ideal: SymmetricIdeal, f_levels, extra_levels: int = 2) -> CheckReport:
     """`check_stable_composition` at levels m..m + extra_levels, in one report."""
     m = ideal.max_length
     reports = [
-        check_stable_composition(
-            ideal, n, f_levels,
-            f_levels[m] if n == m else betti_set(ideal, n, processes=processes))
+        check_stable_composition(ideal, n, f_levels,
+                                 f_levels[m] if n == m else betti_set(ideal, n))
         for n in range(m, m + extra_levels + 1)
     ]
     return CheckReport(all(reports),

@@ -1,8 +1,6 @@
 import itertools
 import math
-import os
 import random
-import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +20,6 @@ from symbetti import (
     restrict_to_n,
     upper_koszul_complex,
 )
-from symbetti import betti as betti_module
 
 
 def masks_to_sets(cx):
@@ -126,38 +123,6 @@ class TestBettiSet:
                 for r in bs(ideal, n).F():
                     assert any((r.i + 1, r.degree + (k,)) in nxt
                                for k in range(1, r.degree[-1] + 1))
-
-    def test_parallel_matches_serial(self, ideal_j):
-        assert betti_set(ideal_j, 3, processes=2) == betti_set(ideal_j, 3)
-
-    @pytest.mark.parametrize("cores", [None, 1, 2, 64])
-    def test_pool_bounded_by_cores_and_degrees(self, monkeypatch, ideal_j, cores):
-        # a stub pool records its size and maps serially: no process starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return list(map(fn, args))
-
-        monkeypatch.setattr(betti_module, "multiprocessing", types.SimpleNamespace(Pool=SerialPool))
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        bs = betti_set(ideal_j, 4, processes=100000)
-        # a work unit is one degree of support below m = 2, or one family:
-        # the 9 degrees share 3 heads of support 2
-        units = {a[:2] if a[1] else a for a in candidate_degrees(ideal_j, 4)}
-        assert len(units) == 3
-        workers = min(cores or 1, len(units))  # 64 cores: 3 units
-        assert sizes == ([workers] if workers > 1 else [])
-        assert bs == betti_set(ideal_j, 4, processes=1)
 
 
 class TestGradedTable:

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 from collections import Counter
 
 import pytest
@@ -125,19 +124,29 @@ class TestFanOut:
             assert parser.parse_args(argv).parallel == 1, argv[0]
 
     def test_default_starts_no_pool(self, monkeypatch):
-        import symbetti.betti as betti
+        import multiprocessing
 
-        class RaisingPool:
-            def __init__(self, processes):
-                raise AssertionError(f"pool of {processes} started")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
 
-        monkeypatch.setattr(betti, "multiprocessing", types.SimpleNamespace(Pool=RaisingPool))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        monkeypatch.setattr(multiprocessing, "Process", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         for argv in SUBCOMMANDS:
             assert run(argv)[0] == EXIT_OK, argv[0]
-            # the same command asks for a pool when given one
-            with pytest.raises(AssertionError, match="pool of 2 started"):
-                run(argv + ["--parallel", "2"])
+            # --parallel is accepted and ignored
+            assert run(argv + ["--parallel", "2"])[0] == EXIT_OK, argv[0]
+
+    def test_start_up_leaves_multiprocessing_unloaded(self):
+        # a fresh interpreter: this process has imported it for the test above
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, symbetti, symbetti.cli; print('multiprocessing' in sys.modules)"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("fixture,command", [
         ("rp2", "verify --max-n 5"),
@@ -146,8 +155,7 @@ class TestFanOut:
         ("permutohedron4", "verify --max-n 4"),
         ("rp2", "betti --n 9 --format json"),
     ])
-    def test_pool_output_matches_default(self, monkeypatch, fixture, command):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+    def test_pool_output_matches_default(self, fixture, command):
         name, *rest = command.split()
         argv = [name, "--ideal", str(FIXTURE_DIR / f"{fixture}.json"), *rest]
         serial = run(argv)
@@ -204,24 +212,6 @@ class TestCommands:
         assert "pd(I_n) = n - 1 (n >= 2)" in out
         assert "reg(I_n) = n + 4 (n >= 2)" in out
         assert "CM: false" in out
-
-    def test_segments_and_asymptotics_honour_parallel(self, tmp_path, monkeypatch):
-        import symbetti.stability as stability
-
-        real = stability.betti_set
-        seen = []
-
-        def spy(ideal, n, processes=1):
-            seen.append((n, processes))
-            return real(ideal, n, processes=processes)
-
-        monkeypatch.setattr(stability, "betti_set", spy)
-        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
-        for command in ("segments", "asymptotics"):
-            seen.clear()
-            code, _ = run([command, "--ideal", path, "--parallel", "2"])
-            assert code == EXIT_OK
-            assert sorted(seen) == [(1, 2), (2, 2)]
 
     def test_python_dash_m(self):
         # symbetti.cli warns under -m if the package has imported it already
@@ -356,9 +346,9 @@ class TestCommands:
         real_complex = betti.upper_koszul_complex
         tables, dims_calls, terms_calls, complexes = [], Counter(), Counter(), Counter()
 
-        def spy_set(ideal, n, processes=1):
+        def spy_set(ideal, n):
             tables.append((n, ideal.characteristic))
-            return real_set(ideal, n, processes=processes)
+            return real_set(ideal, n)
 
         def spy_dims(gens, characteristic, a):
             dims_calls[(characteristic, tuple(a))] += 1
@@ -447,7 +437,7 @@ class TestCommands:
         import symbetti.cli as cli
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
-        monkeypatch.setattr(cli, "segments", lambda ideal, processes=1: SegmentSet(
+        monkeypatch.setattr(cli, "segments", lambda ideal: SegmentSet(
             frozenset(), frozenset({(0, 4, 3)}), 2, {(0, 4, 3): 1}))
         code, out = run(["asymptotics", "--ideal", path, "--parallel", "1"])
         assert code == EXIT_VERIFY
