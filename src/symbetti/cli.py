@@ -3,14 +3,19 @@
 The single structured format is JSON, both for ideal descriptions and for
 outputs; the human-facing rendering is a plain grid whose row j, column i cell
 holds the total Betti number of internal degree i + j.
+
+``COMMANDS`` is the one place the command line is declared: each command's
+options, their types, defaults and help.  ``parse_args`` reads a command line
+against it and ``-h``/``--help`` is generated from it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 from .betti import BettiSet, betti_set, bitmask_betti_dims, graded_table, pd_and_reg
 from .homology import ComplexTooLargeError
@@ -300,53 +305,189 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symbetti",
-        description="Exact Betti tables of symmetric monomial ideals and their stable shape.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command maps to its help line and its options.  An option is
+# (name, kind, default, required, help), where kind is int, str, a tuple of
+# choices, or bool for a flag that stores True.  Its dest is the name without
+# the leading dashes, "-" read as "_".
+_IDEAL = ("--ideal", str, None, True, "path to a JSON ideal description")
+_N = ("--n", int, None, True, "number of variables")
+_PARALLEL = ("--parallel", int, 1, False,
+             "accepted for compatibility and ignored: every command "
+             "runs in one process (K < 1 is still invalid input)")
+_CHARACTERISTIC = ("--characteristic", int, None, False,
+                   "override the characteristic from the ideal file")
+_FORMAT = ("--format", ("text", "json"), "text", False, "output format")
+COMMANDS = {
+    "betti": ("graded Betti table, or full record listing", (
+        _IDEAL, _N, _PARALLEL, _CHARACTERISTIC,
+        ("--multigraded", bool, False, False, "emit the full record listing as JSON"),
+        _FORMAT)),
+    "extrapolate": ("compact level-N positions from one finite computation", (
+        _IDEAL, _N, _PARALLEL, _CHARACTERISTIC)),
+    "segments": ("base positions and segment starts of the stable tables", (
+        _IDEAL, _PARALLEL, _CHARACTERISTIC, _FORMAT)),
+    "asymptotics": ("closed-form pd and regularity of the family", (
+        _IDEAL, _PARALLEL, _CHARACTERISTIC, _FORMAT)),
+    "verify": ("run the internal consistency suite", (
+        _IDEAL, _PARALLEL, _CHARACTERISTIC,
+        ("--max-n", int, None, True, "largest number of variables to verify"))),
+}
+_HELP_NAMES = ("-h", "--help")
 
-    def common(p, needs_n=False):
-        p.add_argument("--ideal", required=True, help="path to a JSON ideal description")
-        if needs_n:
-            p.add_argument("--n", type=int, required=True, help="number of variables")
-        p.add_argument("--parallel", type=int, default=1,
-                       help="accepted for compatibility and ignored: every command "
-                            "runs in one process (K < 1 is still invalid input)")
-        p.add_argument("--characteristic", type=int, default=None,
-                       help="override the characteristic from the ideal file")
 
-    p_betti = sub.add_parser("betti", help="graded Betti table, or full record listing")
-    common(p_betti, needs_n=True)
-    p_betti.add_argument("--multigraded", action="store_true",
-                         help="emit the full record listing as JSON")
-    p_betti.add_argument("--format", choices=("text", "json"), default="text")
+class HelpRequested(Exception):
+    """Raised by ``parse_args`` for -h/--help; the message is the help text."""
 
-    p_ex = sub.add_parser("extrapolate", help="compact level-N positions from one finite computation")
-    common(p_ex, needs_n=True)
 
-    p_seg = sub.add_parser("segments", help="base positions and segment starts of the stable tables")
-    common(p_seg)
-    p_seg.add_argument("--format", choices=("text", "json"), default="text")
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
 
-    p_asy = sub.add_parser("asymptotics", help="closed-form pd and regularity of the family")
-    common(p_asy)
-    p_asy.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_ver = sub.add_parser("verify", help="run the internal consistency suite")
-    common(p_ver)
-    p_ver.add_argument("--max-n", type=int, required=True, dest="max_n",
-                       help="largest number of variables to verify")
+def _metavar(name: str, kind) -> str:
+    if kind is bool:
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {_dest(name).upper()}"
 
-    return parser
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        usage = f"symbetti [-h] {{{','.join(COMMANDS)}}} ..."
+        summary = "Exact Betti tables of symmetric monomial ideals and their stable shape."
+        sections = {
+            "commands (symbetti COMMAND --help for its options)":
+                [(name, line) for name, (line, _) in COMMANDS.items()],
+            "options": [],
+        }
+    else:
+        summary, options = COMMANDS[command]
+        usage = f"symbetti {command} [-h] " + " ".join(
+            _metavar(name, kind) if required else f"[{_metavar(name, kind)}]"
+            for name, kind, _, required, _ in options)
+        sections = {"options": [(_metavar(name, kind), text)
+                                for name, kind, _, _, text in options]}
+    sections["options"].append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for entries in sections.values() for left, _ in entries) + 2
+    lines = [f"usage: {usage}", "", summary]
+    for heading, entries in sections.items():
+        lines += ["", f"{heading}:"] + [f"  {left.ljust(width)}{text}" for left, text in entries]
+    return "\n".join(lines)
+
+
+def _option(token: str, names) -> tuple[str | None, str | None]:
+    """The option a token names, exactly or by a unique prefix, and its attached value.
+
+    ``--name=value`` and ``-hvalue`` attach a value; a long prefix such as
+    ``--char`` names the one option it starts.  (None, None) when the token
+    names no option of ``names``.
+    """
+    name, eq, attached = token.partition("=")
+    value = attached if eq else None
+    if name in names:
+        return name, value
+    if name.startswith("--"):
+        hits = [option for option in names if option.startswith(name)]
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {name} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value
+    elif token[:2] in names:
+        return token[:2], token[2:]
+    return None, None
+
+
+def _is_value(token: str, names) -> bool:
+    """Whether a token is a value rather than an option of ``names`` or an unknown one.
+
+    As in argparse, a negative number, a lone "-" and a token with a space
+    in it are values unless they name an option.
+    """
+    if token == "--" or _option(token, names)[0] is not None:
+        return False
+    return (not token.startswith("-") or token == "-" or " " in token
+            or re.match(r"^-\d+$|^-\d*\.\d+$", token) is not None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """Read a command line against ``COMMANDS``.
+
+    Accepts ``--opt value``, ``--opt=value`` and any unique prefix of an
+    option's name; a repeated option keeps its last value, and a negative
+    number is a value.  Raises ``HelpRequested`` for -h/--help, and
+    ``ValueError`` for a malformed command line: no or an unknown command, a
+    missing required option or value, a value of the wrong type or outside
+    the choices, a value given to a flag, an unknown option or a stray token.
+    """
+    argv = list(argv)
+    unknown = []  # reported last, so that a later -h still prints help, as in argparse
+    command = None
+    while argv:
+        token = argv.pop(0)
+        if token == "--" or _is_value(token, _HELP_NAMES):
+            if token not in COMMANDS:
+                raise ValueError(f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            command = token
+            break
+        name, value = _option(token, _HELP_NAMES)
+        if name is None:
+            unknown.append(token)
+        elif value is not None:
+            raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+        else:
+            raise HelpRequested(_help_text(None))
+    if command is None:
+        raise ValueError("a command is required (choose from " + ", ".join(COMMANDS) + ")")
+    spec = COMMANDS[command][1]
+    options = {name: kind for name, kind, _, _, _ in spec}
+    options.update(dict.fromkeys(_HELP_NAMES, bool))
+    args = SimpleNamespace(command=command)
+    for name, _, default, _, _ in spec:
+        setattr(args, _dest(name), default)
+    while argv:
+        token = argv.pop(0)
+        if token == "--":  # what follows is positional, and no command takes any
+            unknown += [token, *argv]
+            break
+        name, value = _option(token, options) if token.startswith("-") else (None, None)
+        if name is None:
+            unknown.append(token)
+            continue
+        kind = options[name]
+        if kind is bool:
+            if value is not None:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            if name in _HELP_NAMES:
+                raise HelpRequested(_help_text(command))
+            setattr(args, _dest(name), True)
+            continue
+        if value is None:
+            if not argv or not _is_value(argv[0], options):
+                raise ValueError(f"argument {name}: expected one argument")
+            value = argv.pop(0)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"argument {name}: invalid int value: {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"argument {name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kind)})")
+        setattr(args, _dest(name), value)
+    # a required option has no default, and every value read is not None
+    missing = [name for name, _, _, required, _ in spec
+               if required and getattr(args, _dest(name)) is None]
+    if missing:
+        raise ValueError("the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        raise ValueError("unrecognized arguments: " + " ".join(unknown))
+    return args
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         ideal = parse_ideal_file(args.ideal, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
         if args.characteristic is not None:
             ideal = replace(ideal, characteristic=args.characteristic)
@@ -378,6 +519,9 @@ def main(argv=None, out=None) -> int:
         for line in exc.counterexamples:
             print(f"  counterexample: {line}", file=sys.stderr)
         return EXIT_VERIFY
+    except HelpRequested as exc:
+        print(exc, file=out)
+        return EXIT_OK
     except (ZeroIdealError, ValueError) as exc:
         print(f"error[invalid-input]: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import math
 import operator
@@ -312,6 +313,49 @@ def reference_taylor_basis(generators, a):
     for s in sorted(found):
         basis.setdefault(s.bit_count() - 1, []).append(s)
     return basis
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``symbetti.cli.parse_args`` replaced, kept verbatim."""
+    parser = argparse.ArgumentParser(
+        prog="symbetti",
+        description="Exact Betti tables of symmetric monomial ideals and their stable shape.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, needs_n=False):
+        p.add_argument("--ideal", required=True, help="path to a JSON ideal description")
+        if needs_n:
+            p.add_argument("--n", type=int, required=True, help="number of variables")
+        p.add_argument("--parallel", type=int, default=1,
+                       help="accepted for compatibility and ignored: every command "
+                            "runs in one process (K < 1 is still invalid input)")
+        p.add_argument("--characteristic", type=int, default=None,
+                       help="override the characteristic from the ideal file")
+
+    p_betti = sub.add_parser("betti", help="graded Betti table, or full record listing")
+    common(p_betti, needs_n=True)
+    p_betti.add_argument("--multigraded", action="store_true",
+                         help="emit the full record listing as JSON")
+    p_betti.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_ex = sub.add_parser("extrapolate", help="compact level-N positions from one finite computation")
+    common(p_ex, needs_n=True)
+
+    p_seg = sub.add_parser("segments", help="base positions and segment starts of the stable tables")
+    common(p_seg)
+    p_seg.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_asy = sub.add_parser("asymptotics", help="closed-form pd and regularity of the family")
+    common(p_asy)
+    p_asy.add_argument("--format", choices=("text", "json"), default="text")
+
+    p_ver = sub.add_parser("verify", help="run the internal consistency suite")
+    common(p_ver)
+    p_ver.add_argument("--max-n", type=int, required=True, dest="max_n",
+                       help="largest number of variables to verify")
+
+    return parser
 
 
 def random_ideal(rng: random.Random, max_gens=3, max_len=3, max_part=5,

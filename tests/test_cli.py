@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symbetti import (
     BettiRecord,
@@ -32,11 +34,14 @@ from symbetti.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
-    build_parser,
+    COMMANDS,
     main,
+    parse_args,
     render_graded_table,
 )
 from symbetti.stability import degree_from_runs, record_payload
+
+from conftest import reference_parser
 
 
 def write_ideal(tmp_path, payload, name="ideal.json"):
@@ -119,9 +124,8 @@ SUBCOMMANDS = [
 
 class TestFanOut:
     def test_parallel_defaults_to_one(self):
-        parser = build_parser()
         for argv in SUBCOMMANDS:
-            assert parser.parse_args(argv).parallel == 1, argv[0]
+            assert parse_args(argv).parallel == 1, argv[0]
 
     def test_default_starts_no_pool(self, monkeypatch):
         import multiprocessing
@@ -138,15 +142,21 @@ class TestFanOut:
             assert run(argv + ["--parallel", "2"])[0] == EXIT_OK, argv[0]
 
     def test_start_up_leaves_multiprocessing_unloaded(self):
-        # a fresh interpreter: this process has imported it for the test above
+        # a fresh interpreter: this process has imported them for other tests
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, symbetti, symbetti.cli; print('multiprocessing' in sys.modules)"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        unwanted = ("multiprocessing", "argparse", "gettext", "locale")
+        script = (
+            "import io, sys, symbetti, symbetti.cli\n"
+            f"print([m for m in {unwanted!r} if m in sys.modules])\n"
+            "code = symbetti.cli.main(['betti', '--ideal', 'ideals/J.json', '--n', '4'],"
+            " out=io.StringIO())\n"
+            f"print(code, [m for m in {unwanted!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.splitlines() == ["[]", "0 []"]
 
     @pytest.mark.parametrize("fixture,command", [
         ("rp2", "verify --max-n 5"),
@@ -161,6 +171,85 @@ class TestFanOut:
         serial = run(argv)
         assert serial[0] == EXIT_OK
         assert run(argv + ["--parallel", "2"]) == serial
+
+
+# The option vocabulary: full names, prefixes, names no command has, and values
+# of every kind.  "--=x" is left out: argparse reports it as ambiguous before it
+# acts on an -h earlier on the line, and no other token is ambiguous.
+OPTION_SPELLINGS = ["--ideal", "--id", "--i", "--n", "--parallel", "--par", "--p",
+                    "--characteristic", "--char", "--c", "--max-n", "--max", "--m", "--format",
+                    "--fo", "--f", "--multigraded", "--multi", "--help", "--nn", "--bogus"]
+VALUES = st.one_of(st.integers(-12, 12).map(str),
+                   st.sampled_from(["text", "json", "xml", "x", "1.5", "-1.5", "+7", " 3", "",
+                                    "-x", "-", "--", "a b", "-a b", "ideals/J.json"]))
+SINGLE_TOKENS = ["--multigraded", "--multi", "--mu", "-h", "--help", "--he", "-hx", "--",
+                 "-", "-x", "-4", "stray", "betti", "--bogus"]
+
+
+def _spelled(pairs):
+    """An option and its value as two tokens, or as one joined by '='."""
+    return st.tuples(pairs, st.booleans()).map(
+        lambda t: ["=".join(t[0])] if t[1] else list(t[0]))
+
+
+@st.composite
+def command_lines(draw):
+    argv = draw(st.sampled_from([[], ["bogus"], *([name] for name in COMMANDS)]))
+    options = COMMANDS[argv[0]][1] if argv and argv[0] in COMMANDS else ()
+    if draw(st.booleans()):  # the required options, given well formed
+        for name, kind, _, required, _ in options:
+            argv += [name, "f.json" if kind is str else "3"] if required else []
+    # well formed for the command drawn: a full or shortened name with a value of its kind
+    well_formed = []
+    for name, kind, _, _, _ in options:
+        spelling = st.integers(3, len(name)).map(lambda k, name=name: name[:k])
+        if kind is bool:
+            well_formed.append(spelling.map(lambda t: [t]))
+        else:
+            values = (st.sampled_from(kind) if isinstance(kind, tuple)
+                      else st.integers(-12, 12).map(str) if kind is int else st.just("g.json"))
+            well_formed.append(_spelled(st.tuples(spelling, values)))
+    anything = st.one_of(_spelled(st.tuples(st.sampled_from(OPTION_SPELLINGS), VALUES)),
+                         st.sampled_from(SINGLE_TOKENS).map(lambda t: [t]))
+    pieces = st.one_of(*well_formed, anything) if well_formed else anything
+    for piece in draw(st.lists(pieces, max_size=5)):
+        argv += piece
+    return draw(st.permutations(argv)) if draw(st.integers(0, 4)) == 0 else argv
+
+
+REFERENCE_PARSER = reference_parser()
+
+
+class TestParseArgs:
+    """parse_args against the argparse parser it replaced."""
+
+    @settings(max_examples=600)
+    @given(command_lines())
+    @example(["betti", "--ideal", "f.json", "--n", "3", "--char", "2"])
+    @example(["verify", "--ideal", "f.json", "--max", "5"])
+    @example(["betti", "--ideal", "f.json", "--n", "3", "--multi"])
+    @example(["betti", "--ideal", "f.json", "--n=3"])
+    @example(["betti", "--ideal", "f.json", "--n", "3", "--parallel", "-4"])
+    @example(["betti", "--ideal", "f.json", "--n", "3", "--n", "5", "--format=json"])
+    def test_matches_argparse(self, argv):
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                expected = vars(REFERENCE_PARSER.parse_args(argv))
+        except SystemExit as exc:
+            expected = exc.code
+        if isinstance(expected, dict):
+            assert vars(parse_args(argv)) == expected
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = run(argv)
+        if expected == 0:  # -h or --help
+            assert code == EXIT_OK and out.startswith("usage: symbetti") and err.getvalue() == ""
+        else:
+            assert expected == 2
+            assert code == EXIT_INPUT and out == ""
+            assert err.getvalue().startswith("error[invalid-input]: ")
 
 
 class TestRenderTable:
@@ -290,6 +379,54 @@ class TestCommands:
         missing = str(tmp_path / "missing.json")
         code, _ = run(["betti", "--ideal", missing, "--n", "2", "--parallel", "1"])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus", "--ideal", J_FILE],
+        ["betti", "--n", "4"],
+        ["betti", "--ideal", J_FILE],
+        ["verify", "--ideal", J_FILE],
+        ["betti", "--ideal", J_FILE, "--n", "x"],
+        ["betti", "--ideal", J_FILE, "--n", "4", "--format", "xml"],
+        ["betti", "--ideal", J_FILE, "--n", "4", "--bogus"],
+        ["betti", "--ideal", J_FILE, "--n", "4", "--max"],
+        ["betti", "--ideal", J_FILE, "--n", "4", "stray"],
+        ["betti", "--ideal", J_FILE, "--n"],
+    ], ids=["no-command", "unknown-command", "missing-ideal", "missing-n", "missing-max-n",
+            "int-malformed", "choice-outside", "unknown-option", "prefix-matches-nothing",
+            "stray-positional", "value-missing-at-end"])
+    def test_usage_errors_are_invalid_input(self, capsys, argv):
+        code, out = run(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert out == "" and captured.out == ""
+        assert captured.err.startswith("error[invalid-input]: ")
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_names_every_command_and_option(self, command):
+        argv = ["--help"] if command is None else [command, "--help"]
+        code, out = run(argv)
+        assert code == EXIT_OK
+        if command is None:
+            for name, (summary, _) in COMMANDS.items():
+                assert f"  {name}  " in out and summary in out, name
+        else:
+            summary, options = COMMANDS[command]
+            assert summary in out
+            for name, _, _, _, text in options:
+                assert f"  {name}" in out and text in out, name
+        assert "-h, --help" in out
+        assert run([*argv[:-1], "-h"]) == (code, out)
+
+    def test_help_goes_to_stdout(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        for argv in (["--help"], ["verify", "--he"]):
+            proc = subprocess.run([sys.executable, "-m", "symbetti", *argv],
+                                  cwd=root, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_OK, argv
+            assert proc.stdout.startswith("usage: symbetti") and proc.stderr == "", argv
+        assert "largest number of variables to verify" in proc.stdout
 
     @pytest.mark.parametrize("max_n", ["0", "-2"])
     def test_verify_rejects_nonpositive_max_n(self, tmp_path, capsys, max_n):
