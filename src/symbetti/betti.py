@@ -57,11 +57,11 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .homology import (
     VERTEX_CAP,
     ComplexTooLargeError,
+    FrozenValue,
     SimplicialComplex,
     chain_homology,
     faces_by_dim,
@@ -78,30 +78,68 @@ from .ideals import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class BettiRecord:
+class BettiRecord(FrozenValue):
     """One nonzero multigraded Betti number: (homological degree, sorted degree, rank)."""
 
-    i: int
-    degree: tuple[int, ...]
-    rank: int
+    __slots__ = ("i", "degree", "rank")
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", tuple(self.degree))
-        if self.rank < 1:
+    def __init__(self, i: int, degree: tuple[int, ...], rank: int):
+        degree = tuple(degree)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rank", rank)
+        if rank < 1:
             raise ValueError("zero entries are never stored")
-        if self.i >= sum(1 for e in self.degree if e > 0):
+        if i >= sum(1 for e in degree if e > 0):
             raise ValueError(
-                f"homological degree {self.i} must be below the support size of {self.degree}"
+                f"homological degree {i} must be below the support size of {degree}"
             )
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) == (other.i, other.degree, other.rank)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class BettiSet:
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) < (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) <= (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) > (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) >= (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.degree, self.rank))
+
+
+class BettiSet(FrozenValue):
     """Every nonzero multigraded Betti number at one level of the family."""
 
-    n: int
-    records: frozenset[BettiRecord]
+    __slots__ = ("n", "records")
+
+    def __init__(self, n: int, records: frozenset[BettiRecord]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "records", records)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.records) == (other.n, other.records)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.records))
 
     def B(self) -> set[BettiRecord]:
         """All records, zero padded degrees included."""

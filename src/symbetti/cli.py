@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 from .betti import BettiSet, betti_set, bitmask_betti_dims, graded_table, pd_and_reg
@@ -233,7 +232,7 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
         p = ideal.characteristic if char is None else char
         key = (n, p)
         if key not in cache:
-            cache[key] = betti_set(replace(ideal, characteristic=p), n)
+            cache[key] = betti_set(SymmetricIdeal(ideal.generators, p, ideal.name), n)
         return cache[key]
 
     # one walk over the levels: every candidate against the oracle, and at
@@ -490,7 +489,7 @@ def main(argv=None, out=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         ideal = parse_ideal_file(args.ideal, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
         if args.characteristic is not None:
-            ideal = replace(ideal, characteristic=args.characteristic)
+            ideal = SymmetricIdeal(ideal.generators, args.characteristic, ideal.name)
         if getattr(args, "n", None) is not None and args.n < 1:
             raise ValueError("--n must be positive")
         if getattr(args, "max_n", None) is not None and args.max_n < 1:

@@ -15,9 +15,8 @@ homology dimensions) are never corrupted by overflow or round-off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
 # No simplicial complex on more vertices than this is ever built.
 VERTEX_CAP = 14
@@ -50,27 +49,61 @@ def validate_characteristic(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class FrozenValue:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in `__slots__`, in constructor order, stores
+    them in `__init__` through `object.__setattr__`, and writes out `__eq__`
+    and `__hash__` (and the ordering, where it has one) on the tuple of its
+    fields, so comparing and hashing never go through this class.  It gives
+    the rarely called parts: a repr naming every field, pickling through the
+    constructor, and refusing assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimplicialComplex(FrozenValue):
     """Faces as bitmasks over vertices 0..vertex_count-1, closed under subsets.
 
     The empty face (mask 0) is a member of every nonvoid complex; the void
     complex has no faces at all, not even the empty one.
     """
 
-    vertex_count: int
-    faces: frozenset[int]
+    __slots__ = ("vertex_count", "faces")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, faces: Iterable[int]):
+        if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
-        if self.vertex_count > VERTEX_CAP:
+        if vertex_count > VERTEX_CAP:
             raise ComplexTooLargeError(
-                f"{self.vertex_count} vertices exceeds the vertex cap {VERTEX_CAP}"
+                f"{vertex_count} vertices exceeds the vertex cap {VERTEX_CAP}"
             )
-        object.__setattr__(self, "faces", frozenset(self.faces))
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "faces", frozenset(faces))
         if not self.is_downward_closed():
             raise ValueError("complex is not downward closed")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertex_count, self.faces) == (other.vertex_count, other.faces)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex_count, self.faces))
 
     @classmethod
     def from_faces(cls, vertex_count: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":

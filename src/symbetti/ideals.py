@@ -12,24 +12,22 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .homology import validate_characteristic
+from .homology import FrozenValue, validate_characteristic
 
 
 class ZeroIdealError(ValueError):
     """An operation that needs a nonzero ideal was given the zero ideal."""
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(FrozenValue):
     """A weakly decreasing sequence of positive integers."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: Iterable[int]):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("a partition needs at least one part")
         for k, p in enumerate(parts):
@@ -38,6 +36,34 @@ class Partition:
             if k and parts[k - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) == (other.parts,)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) < (other.parts,)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) <= (other.parts,)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) > (other.parts,)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts,) >= (other.parts,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def length(self) -> int:
@@ -74,8 +100,7 @@ def minimal_generators(partitions: Iterable) -> set[Partition]:
     }
 
 
-@dataclass(frozen=True)
-class SymmetricIdeal:
+class SymmetricIdeal(FrozenValue):
     """A monomial ideal fixed by all permutations of the variables.
 
     `generators` is the minimal antichain of partitions; the constructor
@@ -83,18 +108,27 @@ class SymmetricIdeal:
     the one with no generators.
     """
 
-    generators: frozenset[Partition]
-    characteristic: int = 0
-    name: str | None = None
+    __slots__ = ("generators", "characteristic", "name")
 
-    def __post_init__(self):
+    def __init__(self, generators: Iterable, characteristic: int = 0, name: str | None = None):
         gens = frozenset(
-            p if isinstance(p, Partition) else Partition(tuple(p)) for p in self.generators
+            p if isinstance(p, Partition) else Partition(tuple(p)) for p in generators
         )
         object.__setattr__(self, "generators", gens)
-        validate_characteristic(self.characteristic)
+        object.__setattr__(self, "characteristic", characteristic)
+        object.__setattr__(self, "name", name)
+        validate_characteristic(characteristic)
         if minimal_generators(gens) != set(gens):
             raise ValueError("generators are not an antichain; apply minimal_generators")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.generators, self.characteristic, self.name)
+                    == (other.generators, other.characteristic, other.name))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.generators, self.characteristic, self.name))
 
     @classmethod
     def from_parts(cls, parts: Iterable[Sequence[int]], characteristic: int = 0,

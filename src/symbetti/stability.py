@@ -26,11 +26,10 @@ positions are a theorem, ranks are checked (`check_stable_composition`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .betti import BettiRecord, BettiSet, betti_set
 # not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
 from .betti import pd_and_reg  # noqa: F401
+from .homology import FrozenValue
 from .ideals import SymmetricIdeal, ZeroIdealError, encode_runs
 
 
@@ -46,8 +45,7 @@ class ConsistencyError(Exception):
         self.counterexamples = tuple(counterexamples)
 
 
-@dataclass(frozen=True, order=True)
-class CompactDegree:
+class CompactDegree(FrozenValue):
     """A sorted exponent vector stored as prefix + repeated block + zeros.
 
     Construction folds trailing prefix entries equal to the repeated value
@@ -59,14 +57,12 @@ class CompactDegree:
     Compare degrees built along different paths through `expand()`.
     """
 
-    prefix: tuple[int, ...] = ()
-    repeated_value: int = 0
-    repeat_count: int = 0
-    zero_count: int = 0
+    __slots__ = ("prefix", "repeated_value", "repeat_count", "zero_count")
 
-    def __post_init__(self):
-        prefix = tuple(self.prefix)
-        rep, count, zeros = self.repeated_value, self.repeat_count, self.zero_count
+    def __init__(self, prefix: tuple[int, ...] = (), repeated_value: int = 0,
+                 repeat_count: int = 0, zero_count: int = 0):
+        prefix = tuple(prefix)
+        rep, count, zeros = repeated_value, repeat_count, zero_count
         if count < 0 or zeros < 0 or rep < 0:
             raise ValueError("counts and values must be nonnegative")
         if count == 0:
@@ -87,6 +83,39 @@ class CompactDegree:
         object.__setattr__(self, "repeated_value", rep)
         object.__setattr__(self, "repeat_count", count)
         object.__setattr__(self, "zero_count", zeros)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
+                    == (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
+                    < (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
+                    <= (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
+                    > (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
+                    >= (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prefix, self.repeated_value, self.repeat_count, self.zero_count))
 
     @classmethod
     def from_vector(cls, degree) -> "CompactDegree":
@@ -118,27 +147,70 @@ class CompactDegree:
                             (self.repeated_value, self.repeat_count), (0, self.zero_count)])
 
 
-@dataclass(frozen=True, order=True)
-class CompactRecord:
+class CompactRecord(FrozenValue):
     """A Betti record whose degree is stored in run-length form."""
 
-    i: int
-    degree: CompactDegree
-    rank: int
+    __slots__ = ("i", "degree", "rank")
+
+    def __init__(self, i: int, degree: CompactDegree, rank: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) == (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) < (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) <= (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) > (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.degree, self.rank) >= (other.i, other.degree, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.degree, self.rank))
 
 
-@dataclass
 class SegmentSet:
     """Base cells and segment starts (i, j, c) of the stable graded tables.
 
     See the module docstring; `rank_sums` keeps the total rank behind each
-    collapsed start.
+    collapsed start (a fresh empty dict when not given).
     """
 
-    base: frozenset[tuple[int, int]]
-    starts: frozenset[tuple[int, int, int]]
-    m: int
-    rank_sums: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    __slots__ = ("base", "starts", "m", "rank_sums")
+
+    def __init__(self, base: frozenset[tuple[int, int]], starts: frozenset[tuple[int, int, int]],
+                 m: int, rank_sums: dict[tuple[int, int, int], int] | None = None):
+        self.base = base
+        self.starts = starts
+        self.m = m
+        self.rank_sums = {} if rank_sums is None else rank_sums
+
+    # mutable, so unhashable; the repr is the one the frozen classes share
+    __repr__ = FrozenValue.__repr__
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.base, self.starts, self.m, self.rank_sums)
+                    == (other.base, other.starts, other.m, other.rank_sums))
+        return NotImplemented
 
     def graded_positions(self, n: int) -> set[tuple[int, int]]:
         if n < self.m:
@@ -219,8 +291,7 @@ def segment_set_from_payload(payload) -> SegmentSet:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(FrozenValue):
     """Closed forms for projective dimension and regularity of the family.
 
     pd(level n) = n - pd_offset for n >= stabilization_level, and
@@ -228,14 +299,35 @@ class AsymptoticProfile:
     Cohen-Macaulay flag is level independent.
     """
 
-    pd_offset: int
-    reg_slope: int
-    reg_intercept: int
-    threshold: int
-    cohen_macaulay: bool
-    min_first_part: int
-    min_length: int
-    stabilization_level: int
+    __slots__ = ("pd_offset", "reg_slope", "reg_intercept", "threshold", "cohen_macaulay",
+                 "min_first_part", "min_length", "stabilization_level")
+
+    def __init__(self, pd_offset: int, reg_slope: int, reg_intercept: int, threshold: int,
+                 cohen_macaulay: bool, min_first_part: int, min_length: int,
+                 stabilization_level: int):
+        object.__setattr__(self, "pd_offset", pd_offset)
+        object.__setattr__(self, "reg_slope", reg_slope)
+        object.__setattr__(self, "reg_intercept", reg_intercept)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
+        object.__setattr__(self, "min_first_part", min_first_part)
+        object.__setattr__(self, "min_length", min_length)
+        object.__setattr__(self, "stabilization_level", stabilization_level)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.pd_offset, self.reg_slope, self.reg_intercept, self.threshold,
+                     self.cohen_macaulay, self.min_first_part, self.min_length,
+                     self.stabilization_level)
+                    == (other.pd_offset, other.reg_slope, other.reg_intercept, other.threshold,
+                        other.cohen_macaulay, other.min_first_part, other.min_length,
+                        other.stabilization_level))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pd_offset, self.reg_slope, self.reg_intercept, self.threshold,
+                     self.cohen_macaulay, self.min_first_part, self.min_length,
+                     self.stabilization_level))
 
     def pd_at(self, n: int) -> int:
         return n - self.pd_offset
@@ -367,13 +459,25 @@ def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> Asympto
     )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(FrozenValue):
     """Outcome of one verification pass, with counterexamples when it failed."""
 
-    passed: bool
-    counterexamples: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+    __slots__ = ("passed", "counterexamples", "notes")
+
+    def __init__(self, passed: bool, counterexamples: tuple[str, ...] = (),
+                 notes: tuple[str, ...] = ()):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexamples", counterexamples)
+        object.__setattr__(self, "notes", notes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.passed, self.counterexamples, self.notes)
+                    == (other.passed, other.counterexamples, other.notes))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.passed, self.counterexamples, self.notes))
 
     def __bool__(self) -> bool:
         return self.passed

@@ -1,16 +1,27 @@
+from __future__ import annotations
+
 import argparse
 import itertools
 import math
 import operator
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import settings
 
 from symbetti import SymmetricIdeal, betti_set, minimal_generators
-from symbetti.homology import SimplicialComplex, chain_homology, faces_by_dim
+from symbetti.homology import (
+    VERTEX_CAP,
+    ComplexTooLargeError,
+    SimplicialComplex,
+    chain_homology,
+    faces_by_dim,
+    validate_characteristic,
+)
 from symbetti.ideals import (
     Partition,
+    ZeroIdealError,
     _as_parts,
     contains_monomial,
     dominates,
@@ -356,6 +367,364 @@ def reference_parser() -> argparse.ArgumentParser:
                        help="largest number of variables to verify")
 
     return parser
+
+
+class Reference:
+    """The ten value classes as the dataclasses they replaced, kept verbatim.
+
+    Nested here so that the names their bodies use (Partition inside
+    SymmetricIdeal, the vertex cap, the validators) resolve to the package's
+    own: a reference differs from its package class only in what the
+    dataclass decorator generated.  Its repr starts with "Reference.".
+    """
+
+    @dataclass(frozen=True)
+    class SimplicialComplex:
+        """Faces as bitmasks over vertices 0..vertex_count-1, closed under subsets.
+
+        The empty face (mask 0) is a member of every nonvoid complex; the void
+        complex has no faces at all, not even the empty one.
+        """
+
+        vertex_count: int
+        faces: frozenset[int]
+
+        def __post_init__(self):
+            if self.vertex_count < 0:
+                raise ValueError("vertex_count must be nonnegative")
+            if self.vertex_count > VERTEX_CAP:
+                raise ComplexTooLargeError(
+                    f"{self.vertex_count} vertices exceeds the vertex cap {VERTEX_CAP}"
+                )
+            object.__setattr__(self, "faces", frozenset(self.faces))
+            if not self.is_downward_closed():
+                raise ValueError("complex is not downward closed")
+
+        @classmethod
+        def from_faces(cls, vertex_count: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
+            """Downward closure of the given faces (vertices are 0-based labels)."""
+            masks = set()
+            for face in faces:
+                mask = 0
+                for v in face:
+                    if not 0 <= v < vertex_count:
+                        raise ValueError(f"vertex {v} outside range(0, {vertex_count})")
+                    mask |= 1 << v
+                masks.add(mask)
+            return cls.from_masks(vertex_count, masks)
+
+        @classmethod
+        def from_masks(cls, vertex_count: int, masks: Iterable[int]) -> "SimplicialComplex":
+            """Downward closure of the given faces, as bitmasks over the vertices."""
+            closed: set[int] = set()
+            for m in masks:
+                if m in closed:
+                    continue
+                sub = m
+                while True:
+                    closed.add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & m
+            return cls(vertex_count, frozenset(closed))
+
+        def is_downward_closed(self) -> bool:
+            for m in self.faces:
+                bits = m
+                while bits:
+                    low = bits & -bits
+                    if m ^ low not in self.faces:
+                        return False
+                    bits ^= low
+            return True
+
+        @property
+        def is_void(self) -> bool:
+            return not self.faces
+
+        def cone(self) -> "SimplicialComplex":
+            """Cone over this complex with a fresh apex vertex."""
+            apex = 1 << self.vertex_count
+            faces = set(self.faces) | {f | apex for f in self.faces}
+            return SimplicialComplex(self.vertex_count + 1, frozenset(faces))
+
+    @dataclass(frozen=True, order=True)
+    class Partition:
+        """A weakly decreasing sequence of positive integers."""
+
+        parts: tuple[int, ...]
+
+        def __post_init__(self):
+            parts = tuple(self.parts)
+            if not parts:
+                raise ValueError("a partition needs at least one part")
+            for k, p in enumerate(parts):
+                if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+                    raise ValueError(f"parts must be positive integers: {parts}")
+                if k and parts[k - 1] < p:
+                    raise ValueError(f"parts must be weakly decreasing: {parts}")
+            object.__setattr__(self, "parts", parts)
+
+        @property
+        def length(self) -> int:
+            return len(self.parts)
+
+        @property
+        def weight(self) -> int:
+            return sum(self.parts)
+
+    @dataclass(frozen=True)
+    class SymmetricIdeal:
+        """A monomial ideal fixed by all permutations of the variables.
+
+        `generators` is the minimal antichain of partitions; the constructor
+        rejects redundant sets (use minimal_generators first).  The zero ideal is
+        the one with no generators.
+        """
+
+        generators: frozenset[Partition]
+        characteristic: int = 0
+        name: str | None = None
+
+        def __post_init__(self):
+            gens = frozenset(
+                p if isinstance(p, Partition) else Partition(tuple(p)) for p in self.generators
+            )
+            object.__setattr__(self, "generators", gens)
+            validate_characteristic(self.characteristic)
+            if minimal_generators(gens) != set(gens):
+                raise ValueError("generators are not an antichain; apply minimal_generators")
+
+        @classmethod
+        def from_parts(cls, parts: Iterable[Sequence[int]], characteristic: int = 0,
+                       name: str | None = None) -> "SymmetricIdeal":
+            """Build from raw part lists, minimalizing the generating set."""
+            return cls(frozenset(minimal_generators(Partition(tuple(p)) for p in parts)),
+                       characteristic, name)
+
+        @property
+        def is_zero(self) -> bool:
+            return not self.generators
+
+        def _require_nonzero(self):
+            if self.is_zero:
+                raise ZeroIdealError("the zero ideal has no generator statistics")
+
+        @property
+        def max_length(self) -> int:
+            """Largest generator length; the level from which the tables stabilize."""
+            self._require_nonzero()
+            return max(g.length for g in self.generators)
+
+        @property
+        def min_length(self) -> int:
+            """Smallest generator length; one more than the Krull dimension of the quotient."""
+            self._require_nonzero()
+            return min(g.length for g in self.generators)
+
+        @property
+        def min_first_part(self) -> int:
+            """Smallest leading part among the generators; drives the regularity slope."""
+            self._require_nonzero()
+            return min(g.parts[0] for g in self.generators)
+
+    @dataclass(frozen=True, order=True)
+    class BettiRecord:
+        """One nonzero multigraded Betti number: (homological degree, sorted degree, rank)."""
+
+        i: int
+        degree: tuple[int, ...]
+        rank: int
+
+        def __post_init__(self):
+            object.__setattr__(self, "degree", tuple(self.degree))
+            if self.rank < 1:
+                raise ValueError("zero entries are never stored")
+            if self.i >= sum(1 for e in self.degree if e > 0):
+                raise ValueError(
+                    f"homological degree {self.i} must be below the support size of {self.degree}"
+                )
+
+    @dataclass(frozen=True)
+    class BettiSet:
+        """Every nonzero multigraded Betti number at one level of the family."""
+
+        n: int
+        records: frozenset[BettiRecord]
+
+        def B(self) -> set[BettiRecord]:
+            """All records, zero padded degrees included."""
+            return set(self.records)
+
+        def F(self) -> set[BettiRecord]:
+            """Records whose degree is positive in every coordinate."""
+            return {r for r in self.records if r.degree and r.degree[-1] >= 1}
+
+        def positions(self) -> set[tuple[int, tuple[int, ...]]]:
+            return {(r.i, r.degree) for r in self.records}
+
+        def graded_positions(self) -> set[tuple[int, int]]:
+            """Nonzero (i, j) cells of the graded Betti table, j = total degree - i."""
+            return {(r.i, sum(r.degree) - r.i) for r in self.records}
+
+        def sorted_records(self) -> list[BettiRecord]:
+            return sorted(self.records)
+
+        @property
+        def is_empty(self) -> bool:
+            return not self.records
+
+    @dataclass(frozen=True, order=True)
+    class CompactDegree:
+        """A sorted exponent vector stored as prefix + repeated block + zeros.
+
+        Construction folds trailing prefix entries equal to the repeated value
+        into the repeat count, a repeated value of zero into the zero count, and
+        clears the repeated value of an empty block.  It never moves prefix
+        entries into an empty block, so one vector can have several forms:
+        `from_vector((3, 2, 2, 0))` keeps (3, 2, 2) as its prefix and differs from
+        `CompactDegree((3,), 2, 2, 1)`, although both expand to (3, 2, 2, 0).
+        Compare degrees built along different paths through `expand()`.
+        """
+
+        prefix: tuple[int, ...] = ()
+        repeated_value: int = 0
+        repeat_count: int = 0
+        zero_count: int = 0
+
+        def __post_init__(self):
+            prefix = tuple(self.prefix)
+            rep, count, zeros = self.repeated_value, self.repeat_count, self.zero_count
+            if count < 0 or zeros < 0 or rep < 0:
+                raise ValueError("counts and values must be nonnegative")
+            if count == 0:
+                rep = 0
+            if rep == 0 and count:
+                zeros += count
+                count = 0
+            while count and prefix and prefix[-1] == rep:
+                prefix = prefix[:-1]
+                count += 1
+            if any(e < 1 for e in prefix):
+                raise ValueError(f"prefix entries must be positive: {prefix}")
+            if any(prefix[k] < prefix[k + 1] for k in range(len(prefix) - 1)):
+                raise ValueError(f"prefix must be weakly decreasing: {prefix}")
+            if count and prefix and prefix[-1] < rep:
+                raise ValueError("repeated value exceeds the last prefix entry")
+            object.__setattr__(self, "prefix", prefix)
+            object.__setattr__(self, "repeated_value", rep)
+            object.__setattr__(self, "repeat_count", count)
+            object.__setattr__(self, "zero_count", zeros)
+
+        @classmethod
+        def from_vector(cls, degree) -> "CompactDegree":
+            degree = tuple(degree)
+            zeros = 0
+            while degree and degree[-1] == 0:
+                degree = degree[:-1]
+                zeros += 1
+            return cls(degree, 0, 0, zeros)
+
+        @property
+        def length(self) -> int:
+            return len(self.prefix) + self.repeat_count + self.zero_count
+
+        def total(self) -> int:
+            return sum(self.prefix) + self.repeated_value * self.repeat_count
+
+        def support_size(self) -> int:
+            return len(self.prefix) + self.repeat_count
+
+        def expand(self) -> tuple[int, ...]:
+            return (self.prefix
+                    + (self.repeated_value,) * self.repeat_count
+                    + (0,) * self.zero_count)
+
+        def runs(self) -> list[list[int]]:
+            """Run-length encoding [[value, count], ...] without expanding."""
+            return encode_runs([*((v, 1) for v in self.prefix),
+                                (self.repeated_value, self.repeat_count), (0, self.zero_count)])
+
+    @dataclass(frozen=True, order=True)
+    class CompactRecord:
+        """A Betti record whose degree is stored in run-length form."""
+
+        i: int
+        degree: CompactDegree
+        rank: int
+
+    @dataclass
+    class SegmentSet:
+        """Base cells and segment starts (i, j, c) of the stable graded tables.
+
+        See the module docstring; `rank_sums` keeps the total rank behind each
+        collapsed start.
+        """
+
+        base: frozenset[tuple[int, int]]
+        starts: frozenset[tuple[int, int, int]]
+        m: int
+        rank_sums: dict[tuple[int, int, int], int] = field(default_factory=dict)
+
+        def graded_positions(self, n: int) -> set[tuple[int, int]]:
+            if n < self.m:
+                raise ValueError(f"level {n} is below the stabilization level {self.m}")
+            positions = set(self.base)
+            for (i, j, c) in self.starts:
+                positions.update((i + k, j + c * k) for k in range(n - self.m + 1))
+            return positions
+
+        def _end_cells(self, n: int) -> list[tuple[int, int]]:
+            """The base cells and each segment's last cell at level n: they hold pd and reg."""
+            if n < self.m:
+                raise ValueError(f"level {n} is below the stabilization level {self.m}")
+            k = n - self.m
+            cells = [*self.base, *((i + k, j + c * k) for (i, j, c) in self.starts)]
+            if not cells:
+                raise ZeroIdealError("no positions")
+            return cells
+
+        def pd_value(self, n: int) -> int:
+            return max(i for i, _ in self._end_cells(n))
+
+        def reg_value(self, n: int) -> int:
+            return max(j for _, j in self._end_cells(n))
+
+    @dataclass(frozen=True)
+    class AsymptoticProfile:
+        """Closed forms for projective dimension and regularity of the family.
+
+        pd(level n) = n - pd_offset for n >= stabilization_level, and
+        reg(level n) = reg_slope * n + reg_intercept for n >= threshold.  The
+        Cohen-Macaulay flag is level independent.
+        """
+
+        pd_offset: int
+        reg_slope: int
+        reg_intercept: int
+        threshold: int
+        cohen_macaulay: bool
+        min_first_part: int
+        min_length: int
+        stabilization_level: int
+
+        def pd_at(self, n: int) -> int:
+            return n - self.pd_offset
+
+        def reg_at(self, n: int) -> int:
+            return self.reg_slope * n + self.reg_intercept
+
+    @dataclass(frozen=True)
+    class CheckReport:
+        """Outcome of one verification pass, with counterexamples when it failed."""
+
+        passed: bool
+        counterexamples: tuple[str, ...] = ()
+        notes: tuple[str, ...] = ()
+
+        def __bool__(self) -> bool:
+            return self.passed
+
 
 
 def random_ideal(rng: random.Random, max_gens=3, max_len=3, max_part=5,

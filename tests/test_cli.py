@@ -141,11 +141,16 @@ class TestFanOut:
             # --parallel is accepted and ignored
             assert run(argv + ["--parallel", "2"])[0] == EXIT_OK, argv[0]
 
-    def test_start_up_leaves_multiprocessing_unloaded(self):
+    START_UP_UNWANTED = ("multiprocessing", "argparse", "gettext", "locale",
+                         "dataclasses", "inspect", "ast")
+
+    @staticmethod
+    def loaded_at_start_up(unwanted, flags=()):
+        """Which of `unwanted` a fresh interpreter holds after `import symbetti.cli`,
+        then after one `betti` command: two printed lines."""
         # a fresh interpreter: this process has imported them for other tests
         root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        unwanted = ("multiprocessing", "argparse", "gettext", "locale")
         script = (
             "import io, sys, symbetti, symbetti.cli\n"
             f"print([m for m in {unwanted!r} if m in sys.modules])\n"
@@ -153,10 +158,18 @@ class TestFanOut:
             " out=io.StringIO())\n"
             f"print(code, [m for m in {unwanted!r} if m in sys.modules])\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script],
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
                               cwd=root, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 []"]
+        return proc.stdout.splitlines()
+
+    def test_start_up_leaves_multiprocessing_unloaded(self):
+        assert self.loaded_at_start_up(self.START_UP_UNWANTED) == ["[]", "0 []"]
+
+    def test_start_up_without_site_leaves_typing_unloaded(self):
+        # -S skips site, whose .pth files may import typing (and more) first
+        unwanted = (*self.START_UP_UNWANTED, "typing")
+        assert self.loaded_at_start_up(unwanted, ["-S"]) == ["[]", "0 []"]
 
     @pytest.mark.parametrize("fixture,command", [
         ("rp2", "verify --max-n 5"),
@@ -175,7 +188,9 @@ class TestFanOut:
 
 # The option vocabulary: full names, prefixes, names no command has, and values
 # of every kind.  "--=x" is left out: argparse reports it as ambiguous before it
-# acts on an -h earlier on the line, and no other token is ambiguous.
+# acts on an -h earlier on the line, and no other token is ambiguous.  A value
+# "--" is never joined to its option: argparse stores [] for "--opt=--", past
+# the type and choices checks (test_joined_double_dash_is_a_value).
 OPTION_SPELLINGS = ["--ideal", "--id", "--i", "--n", "--parallel", "--par", "--p",
                     "--characteristic", "--char", "--c", "--max-n", "--max", "--m", "--format",
                     "--fo", "--f", "--multigraded", "--multi", "--help", "--nn", "--bogus"]
@@ -187,9 +202,9 @@ SINGLE_TOKENS = ["--multigraded", "--multi", "--mu", "-h", "--help", "--he", "-h
 
 
 def _spelled(pairs):
-    """An option and its value as two tokens, or as one joined by '='."""
+    """An option and its value as two tokens, or as one joined by '=' unless the value is '--'."""
     return st.tuples(pairs, st.booleans()).map(
-        lambda t: ["=".join(t[0])] if t[1] else list(t[0]))
+        lambda t: ["=".join(t[0])] if t[1] and t[0][1] != "--" else list(t[0]))
 
 
 @st.composite
@@ -250,6 +265,13 @@ class TestParseArgs:
             assert expected == 2
             assert code == EXIT_INPUT and out == ""
             assert err.getvalue().startswith("error[invalid-input]: ")
+
+    def test_joined_double_dash_is_a_value(self):
+        assert parse_args(["segments", "--ideal=--"]).ideal == "--"
+        with pytest.raises(ValueError, match="argument --n: invalid int value: '--'"):
+            parse_args(["betti", "--ideal", "f.json", "--n=--"])
+        with pytest.raises(ValueError, match="argument --format: invalid choice: '--'"):
+            parse_args(["betti", "--ideal", "f.json", "--n", "3", "--format=--"])
 
 
 class TestRenderTable:
