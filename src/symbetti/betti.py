@@ -73,9 +73,10 @@ from .ideals import (
     _as_parts,
     candidate_degrees,
     contains_monomial,
-    orbit_size,
     restrict_to_n,
 )
+# not called here, but perfbench/tracer.py wraps symbetti.betti.orbit_size
+from .ideals import orbit_size  # noqa: F401
 
 
 class BettiRecord(FrozenValue):
@@ -157,7 +158,8 @@ class BettiSet(FrozenValue):
         return {(r.i, sum(r.degree) - r.i) for r in self.records}
 
     def sorted_records(self) -> list[BettiRecord]:
-        return sorted(self.records)
+        # the order of BettiRecord.__lt__, without a Python call per comparison
+        return sorted(self.records, key=operator.attrgetter("i", "degree", "rank"))
 
     @property
     def is_empty(self) -> bool:
@@ -378,13 +380,18 @@ def graded_table(bs: BettiSet) -> dict[tuple[int, int], int]:
     """Total graded Betti numbers, keyed by table cell (i, j) with j = degree - i.
 
     Each stored sorted record contributes once per member of its orbit, so the
-    cell value is the orbit size times the rank, summed over records.
+    cell value is the orbit size times the rank, summed over records.  The
+    orbit size is n! over the factorials of the multiplicities, which in a
+    sorted degree are the lengths of its runs (`orbit_size` for any degree).
     """
+    n_factorial = math.factorial(bs.n)
     table: dict[tuple[int, int], int] = {}
     for r in bs.records:
-        total = sum(r.degree)
-        key = (r.i, total - r.i)
-        table[key] = table.get(key, 0) + orbit_size(r.degree, bs.n) * r.rank
+        denom = 1
+        for _, run in itertools.groupby(r.degree):
+            denom *= math.factorial(len(list(run)))
+        key = (r.i, sum(r.degree) - r.i)
+        table[key] = table.get(key, 0) + n_factorial // denom * r.rank
     return table
 
 

@@ -11,9 +11,10 @@ against it and ``-h``/``--help`` is generated from it.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .betti import BettiSet, betti_set, bitmask_betti_dims, graded_table, pd_and_reg
@@ -61,6 +62,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # what a shell reports for a program stopped by SIGPIPE (128 + 13)
 
 
 def table_payload(table: dict[tuple[int, int], int]) -> list[dict]:
@@ -112,8 +114,56 @@ def render_graded_table(table: dict[tuple[int, int], int]) -> str:
     return "\n".join(lines)
 
 
+_PLAIN_INTS = {int}
+
+
+def format_json(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json.dumps`` leaves its C encoder whenever ``indent`` is set, so every
+    value of a large record listing went through the pure-Python one.  Here
+    strings come from the C ``encode_basestring_ascii``, and a list of plain
+    ints is one join (bool is excluded by the exact type test: its JSON is
+    ``true``/``false``).  Takes what the commands emit: dict with str keys,
+    list, tuple, str, int, bool and None, by exact type; any other value,
+    float and subclasses included, raises TypeError.  ``indent`` is the
+    newline and indentation that precede the value's closing bracket.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == _PLAIN_INTS:
+            body = ("," + inner).join(map(int.__repr__, value))
+        else:
+            body = ("," + inner).join([format_json(v, inner) for v in value])
+        return "[" + inner + body + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # sorted before the keys are encoded, as json does: a non-str key
+        # raises TypeError in the sort or in encode_basestring_ascii
+        body = ("," + inner).join([
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(v) if type(v) is int else format_json(v, inner))
+            for k, v in sorted(value.items())])
+        return "{" + inner + body + indent + "}"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _print_json(payload, out):
-    print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    print(format_json(payload), file=out)
 
 
 def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
@@ -122,7 +172,9 @@ def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
     if args.multigraded or args.format == "json":
         payload = betti_set_payload(bs)
         payload["table"] = table_payload(table)
-        payload["full_support"] = [record_payload(r, bs.n) for r in sorted(bs.F())]
+        # the records positive in every coordinate, already built and sorted
+        payload["full_support"] = [entry for entry in payload["records"]
+                                   if entry["degree_rle"] and entry["degree_rle"][-1][0] >= 1]
         _print_json(payload, out)
         return EXIT_OK
     print(render_graded_table(table), file=out)
@@ -527,7 +579,16 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output (`| head`): stop quietly.  Point
+        # stdout at devnull so that the flush at interpreter exit does not
+        # raise again (the note on SIGPIPE in Python's signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ positions are a theorem, ranks are checked (`check_stable_composition`).
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .betti import BettiRecord, BettiSet, betti_set
 # not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
 from .betti import pd_and_reg  # noqa: F401
@@ -251,11 +253,18 @@ def degree_from_runs(runs) -> tuple[int, ...]:
 
 
 def record_payload(record, n: int) -> dict:
-    compact = (record.degree if isinstance(record, CompactRecord)
-               else CompactDegree.from_vector(record.degree))
-    entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
+    """JSON entry of a `BettiRecord` (sorted tuple degree) or a `CompactRecord`."""
+    if isinstance(record, CompactRecord):
+        entry = {"i": record.i, "rank": record.rank, "degree_rle": record.degree.runs()}
+        if n <= DEGREE_LIST_LIMIT:
+            entry["degree"] = list(record.degree.expand())
+        return entry
+    # a sorted degree's maximal runs are its groups of equal entries
+    degree = record.degree
+    entry = {"i": record.i, "rank": record.rank,
+             "degree_rle": [[v, len(list(run))] for v, run in groupby(degree)]}
     if n <= DEGREE_LIST_LIMIT:
-        entry["degree"] = list(compact.expand())
+        entry["degree"] = list(degree)
     return entry
 
 

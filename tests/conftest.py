@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import operator
 import random
@@ -26,8 +27,10 @@ from symbetti.ideals import (
     contains_monomial,
     dominates,
     encode_runs,
+    orbit_size,
     restrict_to_n,
 )
+from symbetti.stability import DEGREE_LIST_LIMIT, CompactDegree
 from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError, lyubeznik_order
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -200,6 +203,29 @@ def reference_upper_koszul_complex(gens, a):
         if contains_monomial(gens, b):
             faces.append(mask)
     return SimplicialComplex(t, frozenset(faces))
+
+
+def reference_json_text(value):
+    """Reference for `cli.format_json`: the json module's indented, key-sorted text."""
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def reference_record_payload(record, n):
+    """Reference for `record_payload` on a sorted tuple degree: the `CompactDegree` route."""
+    compact = CompactDegree.from_vector(record.degree)
+    entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
+    if n <= DEGREE_LIST_LIMIT:
+        entry["degree"] = list(compact.expand())
+    return entry
+
+
+def reference_graded_table(bs):
+    """Reference for `graded_table`: one `orbit_size` count per record."""
+    table = {}
+    for r in bs.records:
+        key = (r.i, sum(r.degree) - r.i)
+        table[key] = table.get(key, 0) + orbit_size(r.degree, bs.n) * r.rank
+    return table
 
 
 def reference_tuple_basis(generators, a):

@@ -21,6 +21,8 @@ from symbetti import (
     upper_koszul_complex,
 )
 
+from conftest import reference_graded_table
+
 
 def masks_to_sets(cx):
     return {frozenset(v for v in range(cx.vertex_count) if m >> v & 1) for m in cx.faces}
@@ -92,6 +94,10 @@ class TestBettiSet:
     def test_zero_level_is_empty(self, ideal_j, bs):
         assert bs(ideal_j, 1).is_empty
 
+    def test_sorted_records_follow_record_order(self, ideal_rp2, bs):
+        records = bs(ideal_rp2, 9).sorted_records()
+        assert records == sorted(bs(ideal_rp2, 9).records)
+
     def test_padding_matches_lower_level(self, ideal_j, ideal_tree, bs):
         for ideal, n in ((ideal_j, 4), (ideal_tree, 5)):
             lower = {(r.i, r.degree): r.rank for r in bs(ideal, n - 1).records}
@@ -134,6 +140,12 @@ class TestGradedTable:
     def test_binomial_family(self, ideal_j, bs):
         for n in range(2, 6):
             assert graded_table(bs(ideal_j, n))[(0, 4)] == math.comb(n, 2)
+
+    @pytest.mark.parametrize("fixture,n", [
+        ("ideal_j", 9), ("ideal_tree", 12), ("ideal_perm", 7), ("ideal_rp2", 14)])
+    def test_matches_orbit_size_reference(self, request, bs, fixture, n):
+        level = bs(request.getfixturevalue(fixture), n)
+        assert graded_table(level) == reference_graded_table(level)
 
     def test_positions_match_record_support(self, ideal_tree, bs):
         table = graded_table(bs(ideal_tree, 5))

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,15 +34,17 @@ from symbetti.cli import (
     EXIT_CAP,
     EXIT_INPUT,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_VERIFY,
     COMMANDS,
+    format_json,
     main,
     parse_args,
     render_graded_table,
 )
-from symbetti.stability import degree_from_runs, record_payload
+from symbetti.stability import DEGREE_LIST_LIMIT, degree_from_runs, record_payload
 
-from conftest import reference_parser
+from conftest import reference_json_text, reference_parser, reference_record_payload
 
 
 def write_ideal(tmp_path, payload, name="ideal.json"):
@@ -107,6 +110,59 @@ class TestRoundTrip:
         assert degree_from_runs(runs) == degree
         entry = record_payload(BettiRecord(1, degree, 1), len(degree))
         assert entry["degree_rle"] == runs and entry["degree"] == list(degree)
+
+
+# what the commands emit: str-keyed dicts, lists, tuples, str, int, bool, None
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example([1, True, 0, False, -1])
+    @example({"": [], "a": {}, "b": (), "\u00e9": [[]], "\"q\"": "tab\there\n\x00\x1f"})
+    @example(["caf\u00e9 \u6f22\u5b57 \U0001f600 \ud800", 10 ** 40, -(10 ** 40), None])
+    def test_matches_json_dumps(self, value):
+        assert format_json(value) == reference_json_text(value)
+
+    @pytest.mark.parametrize("value", [
+        {1, 2}, frozenset(), [1, {2}], {"a": {3}}, b"x", object(), (1, [complex(1, 2)])])
+    def test_unsupported_values_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            reference_json_text(value)
+        with pytest.raises(TypeError):
+            format_json(value)
+
+    @pytest.mark.parametrize("value", [1.5, [0.0], {1: 2}, {None: 1}, {"a": 1, 2: 3}])
+    def test_floats_and_non_str_keys_raise_type_error(self, value):
+        # json accepts these; the commands never emit them
+        with pytest.raises(TypeError):
+            format_json(value)
+
+
+# sorted degrees as runs of distinct descending values, with a zero tail
+SORTED_DEGREES = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 6000)), max_size=4).flatmap(
+    lambda runs: st.integers(0, 6000).map(lambda zeros: tuple(
+        v for value, count in sorted(dict(runs).items(), reverse=True)
+        for v in [value] * count) + (0,) * zeros))
+
+
+class TestRecordPayload:
+    @given(SORTED_DEGREES, st.integers(0, 5), st.integers(1, 9))
+    @example((), 0, 1)
+    @example((0,) * 7, 0, 1)
+    @example((3,) * DEGREE_LIST_LIMIT, 2, 1)
+    @example((3,) * DEGREE_LIST_LIMIT + (0,), 2, 1)
+    def test_matches_compact_degree_route(self, degree, i, rank):
+        # a stand-in record: BettiRecord refuses the all-zero degrees
+        record = SimpleNamespace(i=i, degree=degree, rank=rank)
+        entry = record_payload(record, len(degree))
+        assert entry == reference_record_payload(record, len(degree))
+        assert ("degree" in entry) == (len(degree) <= DEGREE_LIST_LIMIT)
 
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "ideals"
@@ -449,6 +505,27 @@ class TestCommands:
             assert proc.returncode == EXIT_OK, argv
             assert proc.stdout.startswith("usage: symbetti") and proc.stderr == "", argv
         assert "largest number of variables to verify" in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that stops after one line (`| head -1`); the output is
+        # megabytes, far more than the pipe holds
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        argv = ["betti", "--ideal", str(root / "ideals" / "rp2.json"), "--n", "40",
+                "--format", "json"]
+        proc = subprocess.Popen([sys.executable, "-m", "symbetti", *argv], cwd=root, env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            # a traceback would fit in the stderr pipe, so waiting cannot block the child
+            assert proc.wait(timeout=120) == EXIT_PIPE
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert err == b""
 
     @pytest.mark.parametrize("max_n", ["0", "-2"])
     def test_verify_rejects_nonpositive_max_n(self, tmp_path, capsys, max_n):

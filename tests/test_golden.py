@@ -24,8 +24,10 @@ COMMANDS = (
     ("betti", "--format", "json", "--n", "6", "--characteristic", "2"),
     ("betti", "--format", "json", "--n", "6", "--characteristic", "3"),
     ("betti", "--format", "json", "--n", "12", "--characteristic", "0"),
+    ("betti", "--format", "json", "--n", "40"),
     ("segments", "--format", "json"),
     ("asymptotics",),
+    ("asymptotics", "--format", "json"),
     ("extrapolate", "--n", "20"),
     ("verify", "--max-n", "4"),
 )
