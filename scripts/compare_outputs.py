@@ -9,7 +9,14 @@ and exit code must match byte for byte.  The lines cover the four fixtures:
 - `betti` as a text table and with `--multigraded`, at n = 5 and 9;
 - `verify --max-n 1..6`;
 - `segments` and `asymptotics`, as text and as JSON;
-- `extrapolate --n 20` and `--n 1000000`;
+- `extrapolate --n` at m - 1 (an error), m, m + 1, m + 3, 20 and 1000000,
+  where m is the largest generator length;
+
+five antichains written to a temporary directory: [[3]] (m = 1), [[2, 1]],
+[[1, 1, 1]], [[3, 1, 1], [2, 2]] in characteristic 2 and
+[[4, 2], [3, 3, 1]] in characteristic 3, each with `betti --format json
+--n 6`, `segments --format json`, `asymptotics`, `extrapolate --n m + 2` and
+`verify --max-n m + 2`;
 
 plus error cases (unknown command, missing file, bad partition, --n 0,
 a choice outside the list, the size cap).
@@ -20,6 +27,7 @@ Prints one line per command line that differs and a summary; exits 1 on
 any difference, 2 on a usage error.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +35,14 @@ import tempfile
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 FIXTURES = ("J", "tree4", "permutohedron4", "rp2")
+# (generators, characteristic) of the antichains beyond the fixtures
+ANTICHAINS = (
+    ([[3]], 0),
+    ([[2, 1]], 0),
+    ([[1, 1, 1]], 0),
+    ([[3, 1, 1], [2, 2]], 2),
+    ([[4, 2], [3, 3, 1]], 3),
+)
 
 
 def command_lines(scratch: str) -> list[list[str]]:
@@ -45,8 +61,23 @@ def command_lines(scratch: str) -> list[list[str]]:
         for command in ("segments", "asymptotics"):
             lines.append([command, *ideal])
             lines.append([command, *ideal, "--format", "json"])
-        for n in ("20", "1000000"):
-            lines.append(["extrapolate", *ideal, "--n", n])
+        with open(os.path.join(ROOT, "ideals", f"{name}.json"), encoding="utf-8") as fh:
+            m = max(map(len, json.load(fh)["generators"]))
+        for n in (m - 1, m, m + 1, m + 3, 20, 1000000):
+            lines.append(["extrapolate", *ideal, "--n", str(n)])
+    for k, (generators, characteristic) in enumerate(ANTICHAINS):
+        path = os.path.join(scratch, f"antichain{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"generators": generators, "characteristic": characteristic}, fh)
+        ideal = ["--ideal", path]
+        top = str(max(map(len, generators)) + 2)
+        lines += [
+            ["betti", *ideal, "--n", "6", "--format", "json"],
+            ["segments", *ideal, "--format", "json"],
+            ["asymptotics", *ideal],
+            ["extrapolate", *ideal, "--n", top],
+            ["verify", *ideal, "--max-n", top],
+        ]
     bad = os.path.join(scratch, "bad.json")
     with open(bad, "w", encoding="utf-8") as fh:
         fh.write('{"generators": [[1, 2]]}')

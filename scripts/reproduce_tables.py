@@ -45,23 +45,21 @@ def show_family(path, levels, composed_level):
     ideal = parse_ideal_file(path)
     m = ideal.max_length
     print(f"=== {ideal.name} (generators {sorted(tuple(g.parts) for g in ideal.generators)}) ===")
-    f_levels = {}
+    tables = {}
     for n in levels:
-        bs = betti_set(ideal, n)
-        f_levels[n] = bs
+        bs = tables[n] = betti_set(ideal, n)
         print(f"\nlevel n = {n}:")
         print(render_graded_table(graded_table(bs)))
         if not bs.is_empty:
             pd, reg = pd_and_reg(bs)
             print(f"pd = {pd}, reg = {reg}")
 
-    seg = segments(ideal, f_top=f_levels[m].F(),
-                   bs_below=f_levels.get(m - 1, betti_set(ideal, m - 1)))
+    # the level-m table holds every lower level as its zero-padded degrees
+    seg = segments(ideal, tables[m])
     print("\nsegment starts (i, j, slope):", sorted(seg.starts))
     print("base cells:", sorted(seg.base) or "none")
 
-    composed = compose_betti(ideal, composed_level,
-                             f_levels={t: betti_set(ideal, t) for t in range(1, m + 1)})
+    composed = compose_betti(ideal, composed_level, tables[m])
     cells = {(r.i, r.degree.total() - r.i) for r in composed}
     print(f"\nnonzero table cells at n = {composed_level}, assembled from one "
           f"finite computation ({len(composed)} records):")

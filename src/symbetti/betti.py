@@ -5,11 +5,11 @@ homology in degree i - 1 of the upper Koszul complex K^a: the subsets F of the
 support of a with x^a / x^F still in the ideal.  Only sorted degrees are
 computed; the full table follows by symmetry and orbit counting.
 
-`_betti_dims` never builds K^a.  Sort a decreasingly and split its positive
-entries into blocks of equal value v_1 > ... > v_r, of sizes s_1..s_r.
-Whether x^a / x^F lies in the ideal depends only on the count vector c of F,
-where c_j is the number of vertices of F in block j, so K^a is described by
-the set P of count vectors that stay in the ideal.
+The ranks never come from K^a itself.  Sort a decreasingly and split its
+positive entries into blocks of equal value v_1 > ... > v_r, of sizes
+s_1..s_r.  Whether x^a / x^F lies in the ideal depends only on the count
+vector c of F, where c_j is the number of vertices of F in block j, so K^a
+is described by the set P of count vectors that stay in the ideal.
 
 Box rule.  Lowering entries of block j changes only the number of entries
 >= v_j, so a generator g divides some permutation of x^a / x^F exactly when
@@ -33,10 +33,11 @@ and splitting every block in this way leaves, for each h, C(s_j - 1, h_j)
 copies per block of the chain complex of D_h shifted by |h|.  As the
 splitting is over Z, no characteristic is excluded; characteristic
 dependence comes only from the small complexes D_h.  Only h whose every h_j
-is a box value u_{g,j} can contribute (the cone lemma in `_betti_dims`), so
+is a box value u_{g,j} can contribute (the cone lemma in `family_terms`), so
 the work per degree is at most prod_j |{u_{g,j}}| complexes of at most 2^r
 faces, whatever the block sizes, in place of the 2^t subsets of the support.
-`bitmask_betti_dims` keeps the direct computation on K^a as the reference.
+`family_terms` is the one h-loop; `bitmask_betti_dims` keeps the direct
+computation on K^a as the reference.
 
 Families.  With m the largest generator length, every candidate of support
 t >= m is a head of m entries with its last entry repeated through position
@@ -46,9 +47,9 @@ the last box coordinate is s_r minus a shift fixed by the head, so the h-loop
 depends on s_r only through the weight C(s_r - 1, e) and the homological
 degree.  `family_terms` runs the loop once per head and returns terms
 (i0, e, coef); each member's rank in degree i0 + s_r is the sum of
-coef * C(s_r - 1, e).  `betti_set` ranks each family this way and keeps
-`_betti_dims`, the direct h-loop, for the degrees of support below m; the
-tests compare the two at every family member.
+coef * C(s_r - 1, e).  A degree of support below m is a family of one: its
+own terms, evaluated at its own last block.  So `betti_set`, and
+`betti_at_degree` for a single degree, rank every degree this way.
 """
 
 from __future__ import annotations
@@ -204,11 +205,17 @@ def upper_koszul_complex(gens, a) -> SimplicialComplex:
 
 
 def betti_at_degree(ideal: SymmetricIdeal, a, gens=None) -> dict[int, int]:
-    """Nonzero Betti ranks of the level-len(a) ideal at one exponent vector."""
+    """Nonzero Betti ranks of the level-len(a) ideal at one exponent vector.
+
+    A family of one: a's own `family_terms` at its own last block.
+    """
     a = tuple(a)
     if gens is None:
         gens = restrict_to_n(ideal, len(a))
-    return _betti_dims(gens, ideal.characteristic, a)
+    positive = [e for e in a if e]
+    if not positive:
+        return {}
+    return _ranks_at(family_terms(gens, ideal.characteristic, a), positive.count(min(positive)))
 
 
 def bitmask_betti_dims(gens, characteristic, a) -> dict[int, int]:
@@ -261,45 +268,21 @@ def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> di
     return chain_homology(faces_by_dim(SimplicialComplex.from_masks(r, facets)), characteristic)
 
 
-def _betti_dims(gens, characteristic, a) -> dict[int, int]:
-    """Nonzero Betti ranks at degree a, by the block-profile formula.
-
-    Only the D_h are built, on r vertices, so the support of a is not capped.
-    Cone lemma: if h_j is no box value u_{g,j}, D_h is void or acyclic over
-    every field.  Proof: each box u with h <= u has h_j <= u_j and h_j != u_j,
-    so h_j < u_j and vertex j lies in the facet of u, hence in every facet.
-    D_h, if not void, is then a cone with apex j, and F -> F + {j} contracts
-    its augmented chain complex over Z.  So h_j ranges over box values only.
-    """
-    sizes, boxes = profile_boxes(gens, a)
-    r = len(sizes)
-    values = [sorted({u[j] for u in boxes if u[j] < s}) for j, s in enumerate(sizes)]
-    dims: dict[int, int] = {}
-    for h in itertools.product(*values):
-        # facet of each box containing h: the coordinates j with h_j < u_j
-        facets = frozenset(sum(1 << j for j in range(r) if h[j] < u[j])
-                           for u in boxes if all(map(operator.le, h, u)))
-        if not facets:
-            continue  # void D_h
-        weight = math.prod(math.comb(s - 1, hj) for s, hj in zip(sizes, h))
-        shift = sum(h)
-        for d, dim in _complex_homology(r, facets, characteristic).items():
-            i = d + 1 + shift
-            dims[i] = dims.get(i, 0) + weight * dim
-    return dims
-
-
 def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
-    """Rank terms (i0, e, coef) shared by every degree that lengthens the last block of head.
+    """Rank terms (i0, e, coef) of head, shared by the degrees that lengthen its last block.
 
-    `head` is a sorted degree of support m, the largest generator length.  A
-    candidate a of support t >= m is its head H = a[:m] with H[-1] repeated
-    through position t, so only the last block grows: s_r = s0 + (t - m),
-    where s0 is the multiplicity of H[-1] in H.  The terms are exact for the
-    whole family:
+    `head` is a sorted degree H, zeros allowed, with blocks s_1..s_r, the last
+    of size s0.  The degree with last block s_r has rank sum coef *
+    C(s_r - 1, e) over the terms with i0 + s_r = i, in homological degree i
+    (`_ranks_at`).  At s_r = s0 this is the h-loop at H itself.  When H has
+    support m, the largest generator length, the terms hold at every
+    s_r >= s0: a candidate a of support t >= m is H = a[:m] with H[-1]
+    repeated through position t, s_r = s0 + (t - m).  Below support m they
+    hold at s0 only, as a longer last block can let a longer generator
+    divide (tree4's (4,) gives {1: 1} at s_r = 2, but (4, 4) is acyclic):
 
-    - Dominance, and the first r - 1 coordinates of every box, read only H,
-      as no generator has more than m parts.
+    - Dominance, and the first r - 1 coordinates of every box, read only H
+      when no generator has more parts than H has positive entries.
     - On the last coordinate, u_{g,r} = s_r - d_g with
       d_g = max(0, #{parts of g >= v_r} - (s_1 + ... + s_{r-1})), which does
       not depend on s_r.
@@ -311,10 +294,13 @@ def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
       degree is i = (deg + |h'| - e) + s_r, where deg is the homology degree
       in D_h.
 
-    So each term has coef = prod_{j<r} C(s_j - 1, h_j) * dim H~_deg(D_{h',e}),
-    and the member with last block s_r has rank sum coef * C(s_r - 1, e)
-    over the terms with i0 + s_r = i, in homological degree i.  This holds
-    for every s_r >= 1, because the binomial vanishes where a term is absent.
+    So each term has coef = prod_{j<r} C(s_j - 1, h_j) * dim H~_deg(D_{h',e}).
+
+    Cone lemma: if h_j is no box value u_{g,j}, D_h is void or acyclic over
+    every field, so h' runs over box values only.  Proof: each box u with
+    h <= u has h_j <= u_j and h_j != u_j, so h_j < u_j and vertex j lies in
+    the facet of u, hence in every facet.  D_h, if not void, is then a cone
+    with apex j, and F -> F + {j} contracts its augmented chain complex.
     """
     sizes, boxes = profile_boxes(gens, head)
     r, s0 = len(sizes), sizes[-1]
@@ -340,38 +326,39 @@ def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
     return sorted((i0, e, coef) for (i0, e), coef in coefs.items())
 
 
+def _ranks_at(terms, s: int) -> dict[int, int]:
+    """Ranks of the degree whose last block has size s, from its head's `family_terms`."""
+    dims: dict[int, int] = {}
+    for i0, e, coef in terms:
+        dims[i0 + s] = dims.get(i0 + s, 0) + coef * math.comb(s - 1, e)
+    return dims
+
+
 def betti_set(ideal: SymmetricIdeal, n: int) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
     Only sorted degree representatives are stored.  A work unit is one
-    degree of support below m, ranked by `_betti_dims`, or one family of
-    degrees of support m or more that share a head, ranked once from the
-    head's `family_terms`.  The units run in this process, one after another:
-    a process pool's start-up cost more than it saved at every size measured
+    family: the degrees of support m or more that share a head, or one
+    degree of support below m on its own, ranked once from the head's
+    `family_terms`.  The units run in this process, one after another: a
+    process pool's start-up cost more than it saved at every size measured
     (README, "Flags").
     """
     cands = candidate_degrees(ideal, n)
     gens = tuple(g.parts for g in restrict_to_n(ideal, n))
     p = ideal.characteristic
     m = max(map(len, gens), default=0)
-    # a degree of support m or more is its head a[:m], last entry repeated
+    # a degree of support m or more is its head a[:m], last entry repeated;
+    # a shorter one is its own head, zero padded
     families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    records = []
     for a in cands:
-        head = a[:m]
-        if not a[m - 1]:
-            records.extend(BettiRecord(i, a, rank) for i, rank in _betti_dims(gens, p, a).items())
-        elif head in families:
-            families[head].append(a)
-        else:
-            families[head] = [a]
+        families.setdefault(a[:m], []).append(a)
+    records = []
     for head, members in families.items():
         terms = family_terms(gens, p, head)
+        last = min(filter(None, head))  # the value of the last block
         for member in members:
-            s = member.count(head[-1])  # the last block, s0 + (t - m)
-            dims: dict[int, int] = {}
-            for i0, e, coef in terms:
-                dims[i0 + s] = dims.get(i0 + s, 0) + coef * math.comb(s - 1, e)
+            dims = _ranks_at(terms, member.count(last))  # s0 + (t - m)
             records.extend(BettiRecord(i, member, rank) for i, rank in dims.items())
     return BettiSet(n, frozenset(records))
 

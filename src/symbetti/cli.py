@@ -41,6 +41,7 @@ from .stability import (
     check_stable_composition,
     compose_betti,
     extrapolate_full_support,
+    lower_records,
     pad_record,
     rank_stability_report,
     record_count,
@@ -188,19 +189,19 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
     m = ideal.max_length
     if args.n < m:
         raise ValueError(f"--n must be at least the stabilization level {m}")
-    f_levels = {t: betti_set(ideal, t) for t in range(1, m + 1)}
-    report = rank_stability_report(ideal, extra_levels=1, f_levels=f_levels)
+    bs_m = betti_set(ideal, m)
+    report = rank_stability_report(ideal, bs_m)
     if not report.passed:
         raise ConsistencyError("composed positions disagree with direct computation",
                                report.counterexamples)
-    f_top = sorted(f_levels[m].F())
-    total = record_count(f_levels, args.n, m)
+    top_records = sorted(bs_m.F())
+    total = record_count(bs_m, args.n)
     payload = {
         "n": args.n,
         "m": m,
         "record_count": total,
         "f_records": [record_payload(r, args.n)
-                      for r in extrapolate_full_support(f_top, args.n, m)],
+                      for r in extrapolate_full_support(top_records, args.n, m)],
         "families": [
             {
                 "i_start": r.i,
@@ -210,14 +211,14 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
                 "repeat_max": 1 + args.n - m,
                 "rank": r.rank,
             }
-            for r in f_top
+            for r in top_records
         ],
         "padded_records": [record_payload(pad_record(r, args.n), args.n)
-                           for t in range(1, m) for r in sorted(f_levels[t].F())],
+                           for r in lower_records(bs_m)],
     }
     try:
         payload["records"] = [record_payload(r, args.n)
-                              for r in compose_betti(ideal, args.n, f_levels=f_levels)]
+                              for r in compose_betti(ideal, args.n, bs_m)]
     except SizeCapError:
         pass  # too many to list: the families describe them
     if report.notes:
@@ -330,7 +331,7 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
         report(f"positive-degree lift at level {n}", lift.passed, lift.counterexamples)
 
     for n in range(m, min(top, m + 2) + 1):
-        comp = check_stable_composition(ideal, n, {t: bs(t) for t in range(1, m + 1)}, bs(n))
+        comp = check_stable_composition(ideal, n, bs(m), bs(n))
         report(f"stable composition agreement at level {n}", comp.passed, comp.counterexamples)
 
     n_cmp = min(top, m)

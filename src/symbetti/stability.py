@@ -6,16 +6,17 @@ Let m be the largest generator length.  The stable shift sends a record
     (i + k, (a_1..a_{m-1}, a_m repeated 1 + k times)),   k >= 0.
 
 Every record of level n >= m is such a shift with k <= n - m, or an
-all-positive record of a level t < m, padded with zeros to n variables.
-`shift_record` and `pad_record` build the two forms; every composed or
-extrapolated table here is made of them.
+all-positive record of a level t < m, which is a record of support t of the
+level-m table, zeros stripped (`lower_records`), padded to n variables.
+`shift_record` and `pad_record` build the two forms from the level-m table.
 
 In the graded table a level-m record (i, a) starts the segment of cells
 (i + k, j + c k), 0 <= k <= n - m, with j = |a| - i and c = a_m - 1; the
-level m - 1 table adds the base cells.  So pd and reg at level n are maxima
-over the base cells and the segment ends (k = n - m) alone.  With slope
-w - 1 (w the smallest first part) and intercept the largest j - (w - 1) m
-over starts of that slope, reg(n) = (w - 1) n + intercept holds exactly from
+records of support below m, the level m - 1 table, add the base cells.
+So pd and reg at level n are maxima over the base cells and the segment
+ends (k = n - m) alone.  With slope w - 1 (w the smallest first part) and
+intercept the largest j - (w - 1) m over starts of that slope,
+reg(n) = (w - 1) n + intercept holds exactly from
 
     max(m, ceil((j - intercept) / (w - 1)) over base cells,
         ceil((j - c m - intercept) / (w - 1 - c)) over starts with c < w - 1)
@@ -384,46 +385,57 @@ def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[C
     return tuple(shift_record(r, n - m) for r in records)
 
 
-def record_count(f_levels, n: int, m: int) -> int:
-    """How many records compose_betti assembles at level n, without building them."""
-    return (n - m + 1) * len(f_levels[m].F()) + sum(len(f_levels[t].F()) for t in range(1, m))
+def lower_records(bs_m: BettiSet) -> list[BettiRecord]:
+    """The all-positive records of levels 1..m - 1: the level-m records of support below m.
+
+    Zeros stripped; ordered by support, then by (i, degree, rank).
+    """
+    lower = [BettiRecord(r.i, r.degree[:r.degree.index(0)], r.rank)
+             for r in bs_m.records - bs_m.F()]
+    return sorted(lower, key=lambda r: (len(r.degree), r.i, r.degree, r.rank))
 
 
-def compose_betti(ideal: SymmetricIdeal, n: int, f_levels) -> tuple[CompactRecord, ...]:
-    """All nonzero positions of the level-n ideal assembled from levels 1..m.
+def record_count(bs_m: BettiSet, n: int) -> int:
+    """How many records compose_betti assembles at level n, read off the level-m table."""
+    return (n - bs_m.n + 1) * len(bs_m.F()) + len(lower_records(bs_m))
 
-    Low levels contribute their all-positive records padded with zeros; the
-    stabilization level contributes each record shifted 0..n - m steps.
-    Ranks are carried from the source records.
+
+def compose_betti(ideal: SymmetricIdeal, n: int, bs_m: BettiSet) -> tuple[CompactRecord, ...]:
+    """All nonzero positions of the level-n ideal, read off the level-m table.
+
+    The records of support below m, the all-positive records of the lower
+    levels, are padded with zeros; each all-positive record is shifted
+    0..n - m steps.  Ranks are carried from the source records.
     """
     m = ideal.max_length
     if n < m:
         raise ValueError(f"level {n} is below the stabilization level {m}")
-    total = record_count(f_levels, n, m)
+    if bs_m.n != m:
+        raise ValueError(f"the table is of level {bs_m.n}, not the stabilization level {m}")
+    total = record_count(bs_m, n)
     if total > MATERIALIZE_LIMIT:
         raise SizeCapError(f"{total} records would be materialized (cap {MATERIALIZE_LIMIT}); "
                            "use the family description instead")
-    out = [pad_record(r, n) for t in range(1, m) for r in f_levels[t].F()]
-    out += [shift_record(r, k, n - m - k) for r in f_levels[m].F() for k in range(n - m + 1)]
+    out = [pad_record(r, n) for r in lower_records(bs_m)]
+    out += [shift_record(r, k, n - m - k) for r in bs_m.F() for k in range(n - m + 1)]
     return tuple(sorted(out))
 
 
-def segments(ideal: SymmetricIdeal, f_top=None, bs_below=None) -> SegmentSet:
-    """Segment description of the graded tables from the stabilization level on.
+def segments(ideal: SymmetricIdeal, bs_m: BettiSet | None = None) -> SegmentSet:
+    """Segment description of the graded tables from level m on, read off the level-m table.
 
-    Each all-positive record (i, a) at level m gives the start (i, |a| - i,
-    a_m - 1); records that give the same start add their ranks in rank_sums.
+    Each all-positive record (i, a) gives the start (i, |a| - i, a_m - 1);
+    records that give the same start add their ranks in rank_sums.  The
+    records of support below m, the level m - 1 table, give the base cells.
     """
     if ideal.is_zero:
         raise ZeroIdealError("the zero ideal has no segment description")
     m = ideal.max_length
-    if f_top is None:
-        f_top = betti_set(ideal, m).F()
-    if bs_below is None:
-        bs_below = betti_set(ideal, m - 1) if m >= 2 else BettiSet(0, frozenset())
-    base = frozenset(bs_below.graded_positions())
+    if bs_m is None:
+        bs_m = betti_set(ideal, m)
+    base = frozenset((r.i, sum(r.degree) - r.i) for r in lower_records(bs_m))
     sums: dict[tuple[int, int, int], int] = {}
-    for r in f_top:
+    for r in bs_m.F():
         triple = (r.i, sum(r.degree) - r.i, r.degree[-1] - 1)
         sums[triple] = sums.get(triple, 0) + r.rank
     return SegmentSet(base, frozenset(sums), m, sums)
@@ -538,15 +550,15 @@ def check_positive_lift(ideal: SymmetricIdeal, n: int,
     return CheckReport(not bad, tuple(bad))
 
 
-def check_stable_composition(ideal: SymmetricIdeal, n: int, f_levels,
+def check_stable_composition(ideal: SymmetricIdeal, n: int, bs_m: BettiSet,
                              direct: BettiSet) -> CheckReport:
-    """The level-n records composed from levels 1..m against a direct computation.
+    """The level-n records composed from the level-m table against a direct computation.
 
     Positions must agree (`counterexamples`).  Carried ranks that differ from
     the direct ones go in `notes` and do not fail the check: rank preservation
     under the shift is an observation, not a theorem.
     """
-    composed = {(r.i, r.degree.expand()): r.rank for r in compose_betti(ideal, n, f_levels)}
+    composed = {(r.i, r.degree.expand()): r.rank for r in compose_betti(ideal, n, bs_m)}
     ref = {(r.i, r.degree): r.rank for r in direct.records}
     bad = [f"level {n}: position {key} only on the "
            f"{'composed' if key in composed else 'direct'} side"
@@ -556,14 +568,11 @@ def check_stable_composition(ideal: SymmetricIdeal, n: int, f_levels,
     return CheckReport(not bad, tuple(bad), tuple(notes))
 
 
-def rank_stability_report(ideal: SymmetricIdeal, f_levels, extra_levels: int = 2) -> CheckReport:
-    """`check_stable_composition` at levels m..m + extra_levels, in one report."""
+def rank_stability_report(ideal: SymmetricIdeal, bs_m: BettiSet) -> CheckReport:
+    """`check_stable_composition` at levels m and m + 1, in one report."""
     m = ideal.max_length
-    reports = [
-        check_stable_composition(ideal, n, f_levels,
-                                 f_levels[m] if n == m else betti_set(ideal, n))
-        for n in range(m, m + extra_levels + 1)
-    ]
+    reports = [check_stable_composition(ideal, m, bs_m, bs_m),
+               check_stable_composition(ideal, m + 1, bs_m, betti_set(ideal, m + 1))]
     return CheckReport(all(reports),
                        tuple(c for r in reports for c in r.counterexamples),
                        tuple(note for r in reports for note in r.notes))

@@ -30,7 +30,13 @@ from symbetti.ideals import (
     orbit_size,
     restrict_to_n,
 )
-from symbetti.stability import DEGREE_LIST_LIMIT, CompactDegree
+from symbetti.stability import (
+    DEGREE_LIST_LIMIT,
+    CompactDegree,
+    SegmentSet,
+    pad_record,
+    shift_record,
+)
 from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError, lyubeznik_order
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -164,7 +170,7 @@ def reference_profile_boxes(gens, a):
 
 
 def reference_betti_dims(gens, characteristic, a):
-    """Reference for `_betti_dims`: every box scanned for every h, each D_h built and ranked afresh."""
+    """Reference for `betti_at_degree`: every box scanned for every h, each D_h built and ranked afresh."""
     sizes, boxes = reference_profile_boxes(gens, a)
     if not boxes:
         return {}
@@ -226,6 +232,35 @@ def reference_graded_table(bs):
         key = (r.i, sum(r.degree) - r.i)
         table[key] = table.get(key, 0) + orbit_size(r.degree, bs.n) * r.rank
     return table
+
+
+def reference_levels(ideal):
+    """The per-level route's input: one table for each level 1..m."""
+    return {t: betti_set(ideal, t) for t in range(1, ideal.max_length + 1)}
+
+
+def reference_lower_records(f_levels, m):
+    """Reference for `lower_records`: the all-positive records of each level below m, in turn."""
+    return [r for t in range(1, m) for r in sorted(f_levels[t].F())]
+
+
+def reference_compose_betti(ideal, n, f_levels):
+    """Reference for `compose_betti`: the lower levels padded from their own tables."""
+    m = ideal.max_length
+    out = [pad_record(r, n) for r in reference_lower_records(f_levels, m)]
+    out += [shift_record(r, k, n - m - k) for r in f_levels[m].F() for k in range(n - m + 1)]
+    return tuple(sorted(out))
+
+
+def reference_segments(ideal, f_levels):
+    """Reference for `segments`: starts from level m, base cells from the level m - 1 table."""
+    m = ideal.max_length
+    base = frozenset(f_levels[m - 1].graded_positions()) if m >= 2 else frozenset()
+    sums = {}
+    for r in f_levels[m].F():
+        triple = (r.i, sum(r.degree) - r.i, r.degree[-1] - 1)
+        sums[triple] = sums.get(triple, 0) + r.rank
+    return SegmentSet(base, frozenset(sums), m, sums)
 
 
 def reference_tuple_basis(generators, a):

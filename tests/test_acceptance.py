@@ -116,7 +116,7 @@ def test_criterion_02_graded_segment_union(ideal_j, bs):
                 | segment((0, 6), 0, n - 2)
                 | segment((1, 6), 1, n - 2))
         assert got == want, f"level {n}: {got ^ want}"
-    seg = segments(ideal_j, f_top=bs(ideal_j, 2).F(), bs_below=bs(ideal_j, 1))
+    seg = segments(ideal_j, bs(ideal_j, 2))
     assert seg.starts == frozenset({(0, 4, 1), (0, 6, 0), (1, 6, 1)})
     print("PASS criterion 2: graded tables for levels 2..7 equal the "
           "three-segment union and the segment starts are exact")
@@ -165,9 +165,8 @@ def test_criterion_06_stable_composition_agreement(
     checked = 0
     for ideal in [ideal_j, ideal_tree, ideal_perm] + shared_random_ideals:
         m = ideal.max_length
-        levels = {t: bs(ideal, t) for t in range(1, m + 1)}
         for n in (m + 1, m + 2):
-            composed = compose_betti(ideal, n, f_levels=levels)
+            composed = compose_betti(ideal, n, bs(ideal, m))
             comp = {(r.i, r.degree.expand()): r.rank for r in composed}
             direct = {(r.i, r.degree): r.rank for r in bs(ideal, n).B()}
             assert comp.keys() == direct.keys(), (ideal.generators, n)
@@ -200,8 +199,7 @@ def test_criterion_08_asymptotic_invariants(ideal_j, ideal_tree, ideal_perm, bs)
         m, r = ideal.max_length, ideal.min_length
         pds = [pd_and_reg(bs(ideal, n))[0] for n in range(m, m + 4)]
         assert pds == [pds[0] + k for k in range(4)], pds
-        prof = asymptotics(ideal, segments(ideal, f_top=bs(ideal, m).F(),
-                                           bs_below=bs(ideal, m - 1)))
+        prof = asymptotics(ideal, segments(ideal, bs(ideal, m)))
         slopes[ideal.name] = prof.reg_slope
         cm_flags = {r - 1 == n - 1 - pd_and_reg(bs(ideal, n))[0]
                     for n in range(m, m + 4)}

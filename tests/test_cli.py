@@ -99,7 +99,7 @@ class TestRoundTrip:
             json.loads(json.dumps(betti_set_payload(original)))) == original
 
     def test_segment_set_payload(self, ideal_j, bs):
-        seg = segments(ideal_j, f_top=bs(ideal_j, 2).F(), bs_below=bs(ideal_j, 1))
+        seg = segments(ideal_j, bs(ideal_j, 2))
         assert segment_set_from_payload(
             json.loads(json.dumps(segment_set_payload(seg)))) == seg
 
@@ -577,18 +577,13 @@ class TestCommands:
         import symbetti.betti as betti
         import symbetti.cli as cli
 
-        real_set, real_dims = cli.betti_set, betti._betti_dims
-        real_terms = betti.family_terms
+        real_set, real_terms = cli.betti_set, betti.family_terms
         real_complex = betti.upper_koszul_complex
-        tables, dims_calls, terms_calls, complexes = [], Counter(), Counter(), Counter()
+        tables, terms_calls, complexes = [], Counter(), Counter()
 
         def spy_set(ideal, n):
             tables.append((n, ideal.characteristic))
             return real_set(ideal, n)
-
-        def spy_dims(gens, characteristic, a):
-            dims_calls[(characteristic, tuple(a))] += 1
-            return real_dims(gens, characteristic, a)
 
         def spy_terms(gens, characteristic, head):
             terms_calls[(characteristic, tuple(head))] += 1
@@ -599,7 +594,6 @@ class TestCommands:
             return real_complex(gens, a)
 
         monkeypatch.setattr(cli, "betti_set", spy_set)
-        monkeypatch.setattr(betti, "_betti_dims", spy_dims)
         monkeypatch.setattr(betti, "family_terms", spy_terms)
         monkeypatch.setattr(betti, "upper_koszul_complex", spy_complex)
         monkeypatch.setattr(cli, "upper_koszul_complex", spy_complex)
@@ -611,14 +605,33 @@ class TestCommands:
         m = ideal.max_length
         cands = [(p, a, sum(1 for e in a if e)) for n, p in tables
                  for a in candidate_degrees(ideal, n)]
-        # one profile computation per candidate of support below m, and one
-        # family per head of support m, in each table; nothing else
-        assert dims_calls == Counter((p, a) for p, a, t in cands if t < m)
-        assert terms_calls == Counter((p, a[:m]) for p, a, t in cands if t == m)
+        # in each table, one family per candidate of support below m (its
+        # own head, zero padded to m) and one per head of support m; nothing else
+        assert terms_calls == Counter((p, a[:m]) for p, a, t in cands if t <= m)
         # every longer candidate lies in the family of one of those heads
         assert all((p, a[:m]) in terms_calls for p, a, t in cands if t > m)
         # one K^a per candidate at level m = 2, for the reference side only
         assert complexes == Counter(candidate_degrees(ideal, 2))
+
+    @pytest.mark.parametrize("command", [["extrapolate", "--n", "7"], ["segments"],
+                                         ["asymptotics"]])
+    def test_stable_views_read_one_level_m_table(self, tmp_path, monkeypatch, command):
+        import symbetti.cli as cli
+        import symbetti.stability as stability
+
+        real, levels = cli.betti_set, []
+
+        def spy_set(ideal, n):
+            levels.append(n)
+            return real(ideal, n)
+
+        monkeypatch.setattr(cli, "betti_set", spy_set)
+        monkeypatch.setattr(stability, "betti_set", spy_set)
+        path = write_ideal(tmp_path, {"generators": [[3, 1, 1], [2, 2]]})
+        code, _ = run([command[0], "--ideal", path, *command[1:]])
+        assert code == EXIT_OK
+        # m = 3; extrapolate adds its one direct check at level m + 1
+        assert levels == ([3, 4] if command[0] == "extrapolate" else [3])
 
     def test_verify_profile_mismatch_exit_code(self, tmp_path, monkeypatch):
         import symbetti.betti as betti
@@ -657,8 +670,8 @@ class TestCommands:
 
         real = stability.compose_betti
 
-        def drop_51(ideal, n, f_levels):
-            return tuple(r for r in real(ideal, n, f_levels) if r.degree.expand() != (5, 1))
+        def drop_51(ideal, n, bs_m):
+            return tuple(r for r in real(ideal, n, bs_m) if r.degree.expand() != (5, 1))
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
         monkeypatch.setattr(stability, "compose_betti", drop_51)
@@ -696,14 +709,13 @@ def test_extrapolate_views_agree(fixture, bs):
     path = str(pathlib.Path(__file__).resolve().parent.parent / "ideals" / f"{fixture}.json")
     ideal = parse_ideal_file(path)
     m = ideal.max_length
-    levels = {t: bs(ideal, t) for t in range(1, m + 1)}
     for n in (m, m + 1, m + 2, m + 3, 20):
         code, out = run(["extrapolate", "--ideal", path, "--n", str(n), "--parallel", "1"])
         assert code == EXIT_OK
         payload = json.loads(out)
         records = payload["records"]
         assert len(records) == payload["record_count"]
-        composed = [record_payload(r, n) for r in compose_betti(ideal, n, f_levels=levels)]
+        composed = [record_payload(r, n) for r in compose_betti(ideal, n, bs(ideal, m))]
         if "rank_warnings" in payload:
             for entry in composed:
                 entry.pop("rank")
@@ -717,3 +729,16 @@ def test_extrapolate_views_agree(fixture, bs):
         assert set().union(padded, *expanded) == positions
         ends = {(e["i"], tuple(e["degree"])) for e in payload["f_records"]}
         assert ends == {max(e) for e in expanded}
+
+
+def test_compare_outputs_covers_every_command(tmp_path):
+    # scripts/compare_outputs.py diffs two source trees on its command lines;
+    # a command it never runs could change its output unseen
+    import importlib.util
+
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    lines = module.command_lines(str(tmp_path))
+    assert set(COMMANDS) <= {line[0] for line in lines}

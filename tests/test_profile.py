@@ -20,9 +20,11 @@ from symbetti import (
 )
 from symbetti import betti as betti_module
 from symbetti.betti import (
-    _betti_dims,
     _complex_homology,
+    _ranks_at,
+    betti_at_degree,
     bitmask_betti_dims,
+    family_terms,
     profile_boxes,
     upper_koszul_complex,
 )
@@ -89,7 +91,7 @@ def test_profile_matches_bitmask_on_fixtures(name, characteristic):
     for n in range(1, top + 1):
         gens = restrict_to_n(ideal, n)
         for a in reference_candidates(ideal, n, prune_same_support=False):
-            assert _betti_dims(gens, characteristic, a) == \
+            assert betti_at_degree(ideal, a, gens) == \
                 bitmask_betti_dims(gens, characteristic, a), (n, a)
             checked += 1
     assert checked
@@ -98,17 +100,65 @@ def test_profile_matches_bitmask_on_fixtures(name, characteristic):
 @given(ideals_with_degree(), st.sampled_from([0, 2, 3]))
 def test_profile_matches_bitmask_on_random_ideals(drawn, characteristic):
     ideal, a = drawn
+    ideal = SymmetricIdeal(ideal.generators, characteristic)
     gens = restrict_to_n(ideal, len(a))
-    assert _betti_dims(gens, characteristic, a) == bitmask_betti_dims(gens, characteristic, a)
+    assert betti_at_degree(ideal, a, gens) == bitmask_betti_dims(gens, characteristic, a)
 
 
 def test_characteristic_dependent_degree(ideal_rp2):
     # every block has size one, so D_0 is the whole upper Koszul complex
     gens = restrict_to_n(ideal_rp2, 6)
     a = (6, 5, 4, 3, 2, 1)
-    assert _betti_dims(gens, 0, a) == bitmask_betti_dims(gens, 0, a)
-    assert _betti_dims(gens, 2, a) == bitmask_betti_dims(gens, 2, a)
-    assert _betti_dims(gens, 0, a) != _betti_dims(gens, 2, a)
+    rp2_char2 = SymmetricIdeal(ideal_rp2.generators, 2)
+    assert betti_at_degree(ideal_rp2, a, gens) == bitmask_betti_dims(gens, 0, a)
+    assert betti_at_degree(rp2_char2, a, gens) == bitmask_betti_dims(gens, 2, a)
+    assert betti_at_degree(ideal_rp2, a, gens) != betti_at_degree(rp2_char2, a, gens)
+
+
+# an all-zero degree (no block), degrees of one block (r = 1), and degrees
+# whose zeros trail the support, on J, tree4 and rp2 at their own lengths
+EDGE_DEGREES = [
+    (J_PARTS, (0,)), (J_PARTS, (0, 0, 0)), (TREE4_PARTS, (0, 0, 0, 0)),
+    (J_PARTS, (2, 2)), (J_PARTS, (2, 2, 2, 2)), (TREE4_PARTS, (3, 3, 3)),
+    (TREE4_PARTS, (4,)), (TREE4_PARTS, (2, 2, 2, 2, 2)), (PERM4_PARTS, (4, 4, 4, 4)),
+    (J_PARTS, (5, 1, 0)), (J_PARTS, (5, 2, 2, 0, 0)), (TREE4_PARTS, (4, 0, 0, 0)),
+    (TREE4_PARTS, (3, 3, 0, 0)), (TREE4_PARTS, (2, 2, 2, 0, 0)),
+    (PERM4_PARTS, (4, 3, 2, 2, 0, 0)), (RP2_PARTS, (6, 5, 4, 3, 2, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+@pytest.mark.parametrize("parts, a", EDGE_DEGREES)
+def test_edge_degrees_match_references(parts, a, characteristic):
+    ideal = SymmetricIdeal.from_parts(parts, characteristic)
+    gens = restrict_to_n(ideal, len(a))
+    got = betti_at_degree(ideal, a)
+    assert got == bitmask_betti_dims(gens, characteristic, a)
+    assert got == reference_betti_dims(gens, characteristic, a)
+    if not any(a):
+        assert got == {}
+
+
+def test_lower_head_terms_hold_at_their_own_block_only(ideal_tree, monkeypatch):
+    # (4, 4, 0, 0) has support 2 below m = 4 and is acyclic: (3, 3) divides
+    # it once an entry is lowered.  The terms of its lower head (4,), which
+    # no generator longer than one part can divide, give {1: 1} there.
+    gens = restrict_to_n(ideal_tree, 4)
+    a = (4, 4, 0, 0)
+    assert betti_at_degree(ideal_tree, a, gens) == bitmask_betti_dims(gens, 0, a) == {}
+    assert _ranks_at(family_terms(gens, 0, (4, 0, 0, 0)), 1) == \
+        betti_at_degree(ideal_tree, (4, 0, 0, 0), gens) == {0: 1}
+    real = betti_module.family_terms
+
+    def lower_head(gens, characteristic, head):
+        # the mutant: a degree of support below m ranked from the terms of
+        # its head with the last block one shorter, evaluated at s0 + 1
+        head = sorted(head, reverse=True)
+        head.remove(min(filter(None, head)))
+        return real(gens, characteristic, head + [0])
+
+    monkeypatch.setattr(betti_module, "family_terms", lower_head)
+    assert betti_at_degree(ideal_tree, a, gens) == {1: 1}
 
 
 def face_walk(gens, a):
@@ -182,7 +232,7 @@ def test_plain_part_tuples_are_accepted(ideal_j):
     plain = tuple(g.parts for g in gens)
     for a in reference_candidates(ideal_j, 3, prune_same_support=False):
         assert profile_boxes(plain, a) == profile_boxes(gens, a)
-        assert _betti_dims(plain, 0, a) == _betti_dims(gens, 0, a)
+        assert betti_at_degree(ideal_j, a, plain) == betti_at_degree(ideal_j, a, gens)
 
 
 # Above the vertex cap the bitmask route cannot run; the reference is the
@@ -212,16 +262,17 @@ def test_profile_matches_reference_above_vertex_cap(name):
     above = [a for a in candidate_degrees(ideal, n) if sum(1 for e in a if e > 0) > floor]
     for a in above[::stride]:
         assert profile_boxes(gens, a) == reference_profile_boxes(gens, a), a
-        assert _betti_dims(gens, characteristic, a) == \
+        assert betti_at_degree(ideal, a, gens) == \
             reference_betti_dims(gens, characteristic, a), a
     assert above
 
 
 @given(antichains, st.integers(1, 10), st.sampled_from([0, 2, 3]))
 def test_profile_matches_reference_on_random_levels(ideal, n, characteristic):
+    ideal = SymmetricIdeal(ideal.generators, characteristic)
     gens = restrict_to_n(ideal, n)
     for a in candidate_degrees(ideal, n):
-        assert _betti_dims(gens, characteristic, a) == \
+        assert betti_at_degree(ideal, a, gens) == \
             reference_betti_dims(gens, characteristic, a), a
 
 
@@ -321,7 +372,7 @@ def test_family_ranks_match_direct_on_fixtures(name, characteristic):
         for a in candidate_degrees(ideal, n):
             key = (gens, a[:len(a) - a.count(0)])
             if key not in direct:
-                direct[key] = _betti_dims(gens, characteristic, a)
+                direct[key] = betti_at_degree(ideal, a, gens)
             assert got.get(a, {}) == direct[key], (n, a)
             members += a[m - 1] > 0
     assert members
@@ -334,7 +385,7 @@ def test_family_ranks_match_direct_on_rp2_at_100(ideal_rp2, characteristic):
     got = ranks_by_degree(betti_set(ideal, 100))
     cands = candidate_degrees(ideal, 100)
     for a in cands[::53]:
-        assert got.get(a, {}) == _betti_dims(gens, characteristic, a), a
+        assert got.get(a, {}) == betti_at_degree(ideal, a, gens), a
 
 
 @given(antichains, st.integers(1, 10), st.sampled_from([0, 2, 3]))
@@ -343,4 +394,4 @@ def test_family_ranks_match_direct_on_random_levels(ideal, n, characteristic):
     gens = restrict_to_n(ideal, n)
     got = ranks_by_degree(betti_set(ideal, n))
     for a in candidate_degrees(ideal, n):
-        assert got.get(a, {}) == _betti_dims(gens, characteristic, a), a
+        assert got.get(a, {}) == betti_at_degree(ideal, a, gens), a

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from symbetti import (
     BettiRecord,
@@ -23,8 +23,18 @@ from symbetti import (
     rank_stability_report,
     segments,
 )
-from symbetti.stability import SizeCapError
-from conftest import random_ideal
+from symbetti.stability import SizeCapError, lower_records, segment_set_payload
+from conftest import (
+    J_PARTS,
+    PERM4_PARTS,
+    RP2_PARTS,
+    TREE4_PARTS,
+    random_ideal,
+    reference_compose_betti,
+    reference_levels,
+    reference_lower_records,
+    reference_segments,
+)
 
 
 def positions(records):
@@ -75,83 +85,79 @@ class TestExtrapolate:
 
 class TestCompose:
     def test_counts(self, ideal_j, ideal_tree, ideal_perm, bs):
-        levels_t = {t: bs(ideal_tree, t) for t in range(1, 5)}
-        assert len(compose_betti(ideal_tree, 8, f_levels=levels_t)) == 47
-        levels_p = {t: bs(ideal_perm, t) for t in range(1, 5)}
-        assert len(compose_betti(ideal_perm, 8, f_levels=levels_p)) == 40
-        levels_j = {t: bs(ideal_j, t) for t in range(1, 3)}
-        assert len(compose_betti(ideal_j, 4, f_levels=levels_j)) == 9
+        assert len(compose_betti(ideal_tree, 8, bs(ideal_tree, 4))) == 47
+        assert len(compose_betti(ideal_perm, 8, bs(ideal_perm, 4))) == 40
+        assert len(compose_betti(ideal_j, 4, bs(ideal_j, 2))) == 9
 
     def test_matches_direct_positions(self, ideal_j, ideal_tree, ideal_perm, bs):
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
-            levels = {t: bs(ideal, t) for t in range(1, m + 1)}
             # 15 and 20 lie beyond the vertex cap: betti never builds K^a
             for n in (m, m + 1, m + 2, 15, 20):
-                got = positions(compose_betti(ideal, n, f_levels=levels))
+                got = positions(compose_betti(ideal, n, bs(ideal, m)))
                 assert got == bs(ideal, n).positions()
 
     def test_rejects_below_stabilization(self, ideal_tree, bs):
         with pytest.raises(ValueError):
             compose_betti(ideal_tree, 3,
-                          f_levels={t: bs(ideal_tree, t) for t in range(1, 5)})
+                          bs(ideal_tree, 4))
+
+    def test_rejects_a_table_of_another_level(self, ideal_j, bs):
+        with pytest.raises(ValueError):
+            compose_betti(ideal_j, 4, bs(ideal_j, 3))
 
     def test_size_cap(self, ideal_j, bs):
         with pytest.raises(SizeCapError):
             compose_betti(ideal_j, 10 ** 6,
-                          f_levels={t: bs(ideal_j, t) for t in range(1, 3)})
+                          bs(ideal_j, 2))
 
 
 class TestSegments:
     def test_two_generator_family(self, ideal_j, bs):
-        seg = segments(ideal_j, f_top=bs(ideal_j, 2).F(), bs_below=bs(ideal_j, 1))
+        seg = segments(ideal_j, bs(ideal_j, 2))
         assert seg.starts == frozenset({(0, 4, 1), (0, 6, 0), (1, 6, 1)})
         assert seg.base == frozenset()
         assert seg.m == 2
 
     def test_permutohedron_collapse(self, ideal_perm, bs):
-        seg = segments(ideal_perm, f_top=bs(ideal_perm, 4).F(), bs_below=bs(ideal_perm, 3))
+        seg = segments(ideal_perm, bs(ideal_perm, 4))
         assert (3, 13, 3) in seg.starts
         assert seg.rank_sums[(1, 10, 0)] == 2
 
     def test_tree_slopes_vanish(self, ideal_tree, bs):
-        seg = segments(ideal_tree, f_top=bs(ideal_tree, 4).F(), bs_below=bs(ideal_tree, 3))
+        seg = segments(ideal_tree, bs(ideal_tree, 4))
         assert all(c == 0 for (_, _, c) in seg.starts)
 
     def test_graded_positions_match_direct(self, ideal_j, ideal_tree, ideal_perm, bs):
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
-            seg = segments(ideal, f_top=bs(ideal, m).F(), bs_below=bs(ideal, m - 1))
+            seg = segments(ideal, bs(ideal, m))
             for n in (m, m + 1, m + 2, 15, 20):
                 assert seg.graded_positions(n) == set(graded_table(bs(ideal, n)))
 
 
 class TestAsymptotics:
     def test_two_generator_family(self, ideal_j, bs):
-        prof = asymptotics(ideal_j, segments(ideal_j, f_top=bs(ideal_j, 2).F(),
-                                             bs_below=bs(ideal_j, 1)))
+        prof = asymptotics(ideal_j, segments(ideal_j, bs(ideal_j, 2)))
         assert (prof.pd_offset, prof.reg_slope, prof.reg_intercept) == (1, 1, 4)
         assert prof.threshold == 2
         assert not prof.cohen_macaulay
         assert prof.reg_slope == prof.min_first_part - 1
 
     def test_tree(self, ideal_tree, bs):
-        prof = asymptotics(ideal_tree, segments(ideal_tree, f_top=bs(ideal_tree, 4).F(),
-                                                bs_below=bs(ideal_tree, 3)))
+        prof = asymptotics(ideal_tree, segments(ideal_tree, bs(ideal_tree, 4)))
         assert prof.reg_slope == 0 and prof.reg_intercept == 7
         assert prof.cohen_macaulay
 
     def test_permutohedron(self, ideal_perm, bs):
-        prof = asymptotics(ideal_perm, segments(ideal_perm, f_top=bs(ideal_perm, 4).F(),
-                                                bs_below=bs(ideal_perm, 3)))
+        prof = asymptotics(ideal_perm, segments(ideal_perm, bs(ideal_perm, 4)))
         assert (prof.reg_slope, prof.reg_intercept) == (3, 1)
         assert not prof.cohen_macaulay
 
     def test_formula_matches_direct_values(self, ideal_j, ideal_tree, ideal_perm, bs):
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
-            prof = asymptotics(ideal, segments(ideal, f_top=bs(ideal, m).F(),
-                                               bs_below=bs(ideal, m - 1)))
+            prof = asymptotics(ideal, segments(ideal, bs(ideal, m)))
             for n in range(m, m + 4):
                 pd, reg = pd_and_reg(bs(ideal, n))
                 assert pd == prof.pd_at(n)
@@ -161,8 +167,7 @@ class TestAsymptotics:
     def test_slope_is_min_first_part_minus_one(self, shared_random_ideals, bs):
         for ideal in shared_random_ideals[:10]:
             m = ideal.max_length
-            prof = asymptotics(ideal, segments(ideal, f_top=bs(ideal, m).F(),
-                                               bs_below=bs(ideal, m - 1)))
+            prof = asymptotics(ideal, segments(ideal, bs(ideal, m)))
             assert prof.reg_slope == ideal.min_first_part - 1
 
     def test_proof_witness_record_present(self, ideal_j, ideal_tree, ideal_perm, bs):
@@ -209,8 +214,7 @@ class TestClosedForms:
     def test_fixtures(self, ideal_j, ideal_tree, ideal_perm, ideal_rp2, bs):
         for ideal in (ideal_j, ideal_tree, ideal_perm, ideal_rp2):
             m = ideal.max_length
-            assert_closed_forms(ideal, segments(ideal, f_top=bs(ideal, m).F(),
-                                                bs_below=bs(ideal, m - 1)))
+            assert_closed_forms(ideal, segments(ideal, bs(ideal, m)))
 
     def test_threshold_above_stabilization(self):
         # reg stays 9 (base cell (1, 9), start (2, 9, 0)) until the line n + 1 meets it
@@ -220,7 +224,7 @@ class TestClosedForms:
 
     def test_base_cell_above_the_line(self, ideal_j, bs):
         # no ideal tried needs the base term; a made-up base cell (0, 20) does
-        seg = segments(ideal_j, f_top=bs(ideal_j, 2).F(), bs_below=bs(ideal_j, 1))
+        seg = segments(ideal_j, bs(ideal_j, 2))
         seg = SegmentSet(frozenset({(0, 20)}), seg.starts, seg.m, seg.rank_sums)
         assert assert_closed_forms(ideal_j, seg).threshold == 16
 
@@ -229,7 +233,7 @@ class TestClosedForms:
         assert_closed_forms(ideal, segments(ideal))
 
     def test_below_stabilization_rejected(self, ideal_tree, bs):
-        seg = segments(ideal_tree, f_top=bs(ideal_tree, 4).F(), bs_below=bs(ideal_tree, 3))
+        seg = segments(ideal_tree, bs(ideal_tree, 4))
         with pytest.raises(ValueError):
             seg.pd_value(3)
 
@@ -241,7 +245,7 @@ class TestStableColumnCount:
         # intercept) classes
         for ideal in (ideal_j, ideal_tree, ideal_perm):
             m = ideal.max_length
-            seg = segments(ideal, f_top=bs(ideal, m).F(), bs_below=bs(ideal, m - 1))
+            seg = segments(ideal, bs(ideal, m))
             classes = {(c, j - c * i) for (i, j, c) in seg.starts}
             crossings = [m - 1]
             starts = sorted(seg.starts)
@@ -286,23 +290,58 @@ class TestRankStability:
     def test_positions_always_agree(self, ideal_j, ideal_tree, bs):
         for ideal in (ideal_j, ideal_tree):
             m = ideal.max_length
-            rep = rank_stability_report(
-                ideal, extra_levels=1,
-                f_levels={t: bs(ideal, t) for t in range(1, m + 1)})
+            rep = rank_stability_report(ideal, bs(ideal, m))
             assert rep.passed
 
     def test_rank_drift_is_reported_not_failed(self, ideal_j, bs):
-        rep = rank_stability_report(
-            ideal_j, extra_levels=1,
-            f_levels={t: bs(ideal_j, t) for t in range(1, 3)})
+        rep = rank_stability_report(ideal_j, bs(ideal_j, 2))
         assert rep.passed
         assert any("(1, (2, 2, 2))" in note for note in rep.notes)
 
     def test_permutohedron_ranks_stable(self, ideal_perm, bs):
-        rep = rank_stability_report(
-            ideal_perm, extra_levels=1,
-            f_levels={t: bs(ideal_perm, t) for t in range(1, 5)})
+        rep = rank_stability_report(ideal_perm, bs(ideal_perm, 4))
         assert rep.passed and not rep.notes
+
+
+def assert_table_matches_levels(ideal):
+    """The level-m table against the per-level route, order included."""
+    m = ideal.max_length
+    levels = reference_levels(ideal)
+    bs_m = levels[m]
+    assert lower_records(bs_m) == reference_lower_records(levels, m)
+    for t in range(1, m):
+        stripped = {r for r in lower_records(bs_m) if len(r.degree) == t}
+        assert stripped == levels[t].F(), t
+    seg, ref = segments(ideal, bs_m), reference_segments(ideal, levels)
+    assert seg == ref
+    assert segment_set_payload(seg) == segment_set_payload(ref)
+    for n in (m, m + 1, m + 3):
+        assert compose_betti(ideal, n, bs_m) == reference_compose_betti(ideal, n, levels), n
+
+
+FIXTURE_PARTS = {"J": J_PARTS, "tree4": TREE4_PARTS, "permutohedron4": PERM4_PARTS,
+                 "rp2": RP2_PARTS}
+
+
+class TestLevelMTable:
+    @pytest.mark.parametrize("characteristic", [0, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_PARTS))
+    def test_fixtures(self, name, characteristic):
+        assert_table_matches_levels(SymmetricIdeal.from_parts(FIXTURE_PARTS[name], characteristic))
+
+    @example([[3]], 0)
+    @example([[2, 1]], 2)
+    @example([[1, 1, 1]], 3)
+    @example([[3, 1, 1], [2, 2]], 2)
+    @given(st.lists(partitions, min_size=1, max_size=4), st.sampled_from([0, 2, 3]))
+    def test_random_antichains(self, parts, characteristic):
+        assert_table_matches_levels(SymmetricIdeal.from_parts(parts, characteristic))
+
+    def test_one_part_generators_have_no_base(self):
+        ideal = SymmetricIdeal.from_parts([[3]])
+        assert ideal.max_length == 1
+        assert segments(ideal).base == frozenset()
+        assert lower_records(betti_set(ideal, 1)) == []
 
 
 class TestLengthTwoClosedForm:
