@@ -14,9 +14,9 @@ is described by the set P of count vectors that stay in the ideal.
 Box rule.  Lowering entries of block j changes only the number of entries
 >= v_j, so a generator g divides some permutation of x^a / x^F exactly when
 c_j <= u_{g,j} = min(s_j, s_1 + ... + s_j - #{parts of g >= v_j}) for every j,
-provided g divides some permutation of x^a itself (dominance, decided in the
-same pass).  P is the union of the boxes [0, u_g] over the generators that
-pass (`profile_boxes`).
+provided g divides some permutation of x^a itself (dominance).  P is the
+union of the boxes [0, u_g] over the generators that dominate a (`_boxes`,
+from each generator's counts #{parts >= v}; `profile_boxes` for one degree).
 
 Formula.  Over every field,
 
@@ -48,8 +48,11 @@ depends on s_r only through the weight C(s_r - 1, e) and the homological
 degree.  `family_terms` runs the loop once per head and returns terms
 (i0, e, coef); each member's rank in degree i0 + s_r is the sum of
 coef * C(s_r - 1, e).  A degree of support below m is a family of one: its
-own terms, evaluated at its own last block.  So `betti_set`, and
-`betti_at_degree` for a single degree, rank every degree this way.
+own terms, evaluated at its own last block.  One walk finds the heads
+(`ideals.candidate_heads`) and holds, at each, its blocks and the generators
+that dominate it; `betti_set` ranks each head there, from those generators
+alone, and builds a degree's tuple only when the head has terms.
+`betti_at_degree` ranks a single degree from its own `profile_boxes`.
 """
 
 from __future__ import annotations
@@ -72,12 +75,14 @@ from .ideals import (
     SymmetricIdeal,
     ZeroIdealError,
     _as_parts,
-    candidate_degrees,
+    candidate_heads,
     contains_monomial,
+    dominates,
     restrict_to_n,
 )
-# not called here, but perfbench/tracer.py wraps symbetti.betti.orbit_size
-from .ideals import orbit_size  # noqa: F401
+# not called here, but perfbench/tracer.py wraps symbetti.betti.candidate_degrees
+# and symbetti.betti.orbit_size
+from .ideals import candidate_degrees, orbit_size  # noqa: F401
 
 
 class BettiRecord(FrozenValue):
@@ -87,12 +92,22 @@ class BettiRecord(FrozenValue):
 
     def __init__(self, i: int, degree: tuple[int, ...], rank: int):
         degree = tuple(degree)
+        self._fill(i, degree, rank, sum(1 for e in degree if e > 0))
+
+    @classmethod
+    def of_support(cls, i: int, degree: tuple[int, ...], rank: int, support: int) -> "BettiRecord":
+        """A record whose sorted tuple degree the caller knows to have `support` positive entries."""
+        record = object.__new__(cls)
+        record._fill(i, degree, rank, support)
+        return record
+
+    def _fill(self, i, degree, rank, support):
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rank", rank)
         if rank < 1:
             raise ValueError("zero entries are never stored")
-        if i >= sum(1 for e in degree if e > 0):
+        if i >= support:
             raise ValueError(
                 f"homological degree {i} must be below the support size of {degree}"
             )
@@ -212,10 +227,10 @@ def betti_at_degree(ideal: SymmetricIdeal, a, gens=None) -> dict[int, int]:
     a = tuple(a)
     if gens is None:
         gens = restrict_to_n(ideal, len(a))
-    positive = [e for e in a if e]
-    if not positive:
+    if not any(a):
         return {}
-    return _ranks_at(family_terms(gens, ideal.characteristic, a), positive.count(min(positive)))
+    sizes, boxes = profile_boxes(gens, a)
+    return _ranks_at(family_terms(sizes, boxes, ideal.characteristic), sizes[-1])
 
 
 def bitmask_betti_dims(gens, characteristic, a) -> dict[int, int]:
@@ -224,37 +239,34 @@ def bitmask_betti_dims(gens, characteristic, a) -> dict[int, int]:
     return {i + 1: d for i, d in reduced_homology_dims(cx, characteristic).items()}
 
 
+def _ge_row(parts, top: int) -> list[int]:
+    """#{parts >= v} for v = 0..top."""
+    return [sum(1 for p in parts if p >= v) for v in range(top + 1)]
+
+
+def _boxes(blocks, rows) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Block sizes, and the boxes u_{g,j} = min(s_j, s_1 + ... + s_j - ge_g[v_j]).
+
+    `blocks` are the (v_j, s_j) of a sorted degree; `rows` hold the
+    `_ge_row` of each generator that dominates it, and of no other.
+    """
+    values = [v for v, _ in blocks]
+    sizes = [s for _, s in blocks]
+    totals = list(itertools.accumulate(sizes))
+    return sizes, sorted({tuple(map(min, sizes, map(operator.sub, totals, map(ge.__getitem__, values))))
+                          for ge in rows})
+
+
 def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """Block sizes of the sorted degree a, and the boxes whose union is P.
 
     Generators may be `Partition`s or plain part tuples; see the module
-    docstring for the box rule.  Dominance is decided in the same pass over
-    the blocks: g divides some permutation of x^a exactly when, for every
-    block j, the parts above v_j fit on the s_1 + ... + s_{j-1} entries of
-    the earlier blocks, and g has at most as many parts as a has positive
-    entries.
+    docstring for the box rule.
     """
     a = sorted(a, reverse=True)
     blocks = [(v, len(list(run))) for v, run in itertools.groupby(a) if v > 0]
-    boxes = set()
-    for parts in map(_as_parts, gens):
-        box = []
-        total = k = 0
-        # the parts are descending, so one pointer walks #{parts > v_j},
-        # then #{parts >= v_j}, block by block
-        for v, s in blocks:
-            while k < len(parts) and parts[k] > v:
-                k += 1
-            if k > total:
-                break  # a part above v_j has no entry left to divide
-            while k < len(parts) and parts[k] >= v:
-                k += 1
-            total += s
-            box.append(min(s, total - k))
-        else:
-            if len(parts) <= total:
-                boxes.add(tuple(box))
-    return [s for _, s in blocks], sorted(boxes)
+    return _boxes(blocks, [_ge_row(parts, a[0]) for parts in map(_as_parts, gens)
+                           if dominates(a, parts)])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -268,18 +280,19 @@ def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> di
     return chain_homology(faces_by_dim(SimplicialComplex.from_masks(r, facets)), characteristic)
 
 
-def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
-    """Rank terms (i0, e, coef) of head, shared by the degrees that lengthen its last block.
+def family_terms(sizes, boxes, characteristic) -> list[tuple[int, int, int]]:
+    """Rank terms (i0, e, coef) of a head, shared by the degrees that lengthen its last block.
 
-    `head` is a sorted degree H, zeros allowed, with blocks s_1..s_r, the last
-    of size s0.  The degree with last block s_r has rank sum coef *
-    C(s_r - 1, e) over the terms with i0 + s_r = i, in homological degree i
-    (`_ranks_at`).  At s_r = s0 this is the h-loop at H itself.  When H has
-    support m, the largest generator length, the terms hold at every
-    s_r >= s0: a candidate a of support t >= m is H = a[:m] with H[-1]
-    repeated through position t, s_r = s0 + (t - m).  Below support m they
-    hold at s0 only, as a longer last block can let a longer generator
-    divide (tree4's (4,) gives {1: 1} at s_r = 2, but (4, 4) is acyclic):
+    `sizes` and `boxes` are those of a head H, a sorted degree with blocks
+    s_1..s_r, the last of size s0 (`profile_boxes`).  The degree with last
+    block s_r has rank sum coef * C(s_r - 1, e) over the terms with
+    i0 + s_r = i, in homological degree i (`_ranks_at`).  At s_r = s0 this
+    is the h-loop at H itself.  When H has support m, the largest generator
+    length, the terms hold at every s_r >= s0: a candidate a of support
+    t >= m is H = a[:m] with H[-1] repeated through position t,
+    s_r = s0 + (t - m).  Below support m they hold at s0 only, as a longer
+    last block can let a longer generator divide (tree4's (4,) gives {1: 1}
+    at s_r = 2, but (4, 4) is acyclic):
 
     - Dominance, and the first r - 1 coordinates of every box, read only H
       when no generator has more parts than H has positive entries.
@@ -302,10 +315,12 @@ def family_terms(gens, characteristic, head) -> list[tuple[int, int, int]]:
     the facet of u, hence in every facet.  D_h, if not void, is then a cone
     with apex j, and F -> F + {j} contracts its augmented chain complex.
     """
-    sizes, boxes = profile_boxes(gens, head)
-    r, s0 = len(sizes), sizes[-1]
-    values = [sorted({u[j] for u in boxes if u[j] < s}) for j, s in enumerate(sizes[:-1])]
+    s0 = sizes[-1]
     offsets = sorted({s0 - u[-1] for u in boxes} - {0})
+    if not offsets:
+        return []  # no box value below s0 on the last block: the cone lemma leaves no h
+    r = len(sizes)
+    values = [sorted({u[j] for u in boxes if u[j] < s}) for j, s in enumerate(sizes[:-1])]
     top = 1 << (r - 1)
     coefs: dict[tuple[int, int], int] = {}
     for hp in itertools.product(*values):
@@ -337,29 +352,29 @@ def _ranks_at(terms, s: int) -> dict[int, int]:
 def betti_set(ideal: SymmetricIdeal, n: int) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
-    Only sorted degree representatives are stored.  A work unit is one
-    family: the degrees of support m or more that share a head, or one
-    degree of support below m on its own, ranked once from the head's
-    `family_terms`.  The units run in this process, one after another: a
-    process pool's start-up cost more than it saved at every size measured
-    (README, "Flags").
+    Only sorted degree representatives are stored.  Each head of
+    `candidate_heads` is ranked from the blocks and the dominating
+    generators the walk found it with, and its terms are evaluated at each
+    of its degrees; a degree's tuple is built only when it has a rank.  The
+    work runs in this process: a process pool's start-up cost more than it
+    saved at every size measured (README, "Flags").
     """
-    cands = candidate_degrees(ideal, n)
-    gens = tuple(g.parts for g in restrict_to_n(ideal, n))
+    gens = restrict_to_n(ideal, n)
     p = ideal.characteristic
-    m = max(map(len, gens), default=0)
-    # a degree of support m or more is its head a[:m], last entry repeated;
-    # a shorter one is its own head, zero padded
-    families: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for a in cands:
-        families.setdefault(a[:m], []).append(a)
+    top = max((g.parts[0] for g in gens), default=0)
+    rows: dict[tuple[int, ...], list[int]] = {}  # `_ge_row` per generator, padded as the walk gives it
     records = []
-    for head, members in families.items():
-        terms = family_terms(gens, p, head)
-        last = min(filter(None, head))  # the value of the last block
-        for member in members:
-            dims = _ranks_at(terms, member.count(last))  # s0 + (t - m)
-            records.extend(BettiRecord(i, member, rank) for i, rank in dims.items())
+    for head, blocks, dividing, tails in candidate_heads(gens, n):
+        sizes, boxes = _boxes(blocks, [rows.get(g) or rows.setdefault(g, _ge_row(g, top))
+                                       for g in dividing])
+        terms = family_terms(sizes, boxes, p)
+        if not terms:
+            continue
+        t, s0 = len(head), sizes[-1]
+        for u in tails:
+            member = head + head[-1:] * (u - t) + (0,) * (n - u)
+            records.extend(BettiRecord.of_support(i, member, rank, u)
+                           for i, rank in _ranks_at(terms, s0 + u - t).items())
     return BettiSet(n, frozenset(records))
 
 

@@ -285,7 +285,9 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
         p = ideal.characteristic if char is None else char
         key = (n, p)
         if key not in cache:
-            cache[key] = betti_set(SymmetricIdeal(ideal.generators, p, ideal.name), n)
+            # a new ideal re-runs the antichain check: build one per other characteristic
+            ideal_p = ideal if p == ideal.characteristic else SymmetricIdeal(ideal.generators, p, ideal.name)
+            cache[key] = betti_set(ideal_p, n)
         return cache[key]
 
     # one walk over the levels: every candidate against the oracle, and at

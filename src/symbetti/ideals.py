@@ -271,19 +271,23 @@ def encode_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     return out
 
 
-def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
-    """Sorted exponent vectors that can carry a nonzero Betti number at level n.
+def candidate_heads(gens, n: int) -> list[tuple]:
+    """The heads of the level-n candidates, as (head, blocks, dividing, tails) in walk order.
 
-    The repeated-tail shape forced by symmetry is generated, not filtered
-    for: with m the largest generator length, a degree supported on t
-    positions is a weakly decreasing head of min(t, m) generator parts, its
-    last entry repeated through position t, then zeros.  A head is kept
-    when some generator g dominates it (its monomial lies in the ideal) and
-    no generator dominates head - 1 (otherwise g divides x^a without
-    shrinking the support, and such degrees are always acyclic).  From
-    t = m on both tests read only the head, as no generator is longer than
-    m, so each head kept at t = m is emitted once per t = m..n and the count
-    grows linearly in n.
+    `gens` are the level-n generators (`restrict_to_n`).  The repeated-tail
+    shape forced by symmetry is generated, not filtered for: with m the
+    largest generator length, a degree supported on t positions is a weakly
+    decreasing head of min(t, m) generator parts, its last entry repeated
+    through position t, then zeros.  A head is kept when some generator g
+    dominates it (its monomial lies in the ideal) and no generator dominates
+    head - 1 (otherwise g divides x^a without shrinking the support, and
+    such degrees are always acyclic).  From t = m on both tests read only
+    the head, as no generator is longer than m, so each head kept at t = m
+    heads one degree per support t = m..n and the count grows linearly in n.
+
+    For each kept head the walk records its blocks ((v_1, s_1), ..., (v_r,
+    s_r)) of equal entries, the generators that dominate it as part tuples
+    zero padded to m + 1 entries, and `tails`, the supports of its degrees.
 
     The heads are walked depth first, one part appended at a time, over the
     generators still alive: `fit`, those whose first len(head) parts are at
@@ -305,7 +309,6 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     zeros past their length, so "at most t parts" reads as a zero at index
     t and a padded zero fits under any part.
     """
-    gens = restrict_to_n(ideal, n)
     if not gens:
         return []
     parts = sorted({p for g in gens for p in g.parts}, reverse=True)
@@ -313,7 +316,7 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     padded = [g.parts + (0,) * (m + 1 - g.length) for g in gens]
     out = []
 
-    def walk(head, start, fit, below):
+    def walk(head, blocks, start, fit, below):
         t = len(head)
         for j in range(start, len(parts)):
             p = parts[j]
@@ -326,11 +329,26 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
             if any(not g[t + 1] for g in below):
                 continue
             longer = head + (p,)
-            if any(not g[t + 1] for g in fit):
-                tails = range(t + 1, n + 1) if t + 1 == m else (t + 1,)
-                out.extend(longer + (p,) * (u - t - 1) + (0,) * (n - u) for u in tails)
+            grown = (blocks[:-1] + ((p, blocks[-1][1] + 1),) if j == start and head
+                     else blocks + ((p, 1),))
+            dividing = [g for g in fit if not g[t + 1]]
+            if dividing:
+                out.append((longer, grown, dividing,
+                            range(t + 1, n + 1) if t + 1 == m else (t + 1,)))
             if t + 1 < m:
-                walk(longer, j, fit, below)
+                walk(longer, grown, j, fit, below)
 
-    walk((), 0, padded, padded)
+    walk((), (), 0, padded, padded)
+    return out
+
+
+def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
+    """Sorted exponent vectors that can carry a nonzero Betti number at level n.
+
+    Each head of `candidate_heads` with its last entry repeated through each
+    of its supports, then zeros.
+    """
+    out = [head + head[-1:] * (u - len(head)) + (0,) * (n - u)
+           for head, _, _, tails in candidate_heads(restrict_to_n(ideal, n), n)
+           for u in tails]
     return sorted(out, reverse=True)

@@ -246,13 +246,6 @@ class SegmentSet:
 DEGREE_LIST_LIMIT = 10_000
 
 
-def degree_from_runs(runs) -> tuple[int, ...]:
-    out: list[int] = []
-    for v, count in runs:
-        out.extend([v] * count)
-    return tuple(out)
-
-
 def record_payload(record, n: int) -> dict:
     """JSON entry of a `BettiRecord` (sorted tuple degree) or a `CompactRecord`."""
     if isinstance(record, CompactRecord):
@@ -269,17 +262,8 @@ def record_payload(record, n: int) -> dict:
     return entry
 
 
-def record_from_payload(entry) -> BettiRecord:
-    degree = tuple(entry["degree"]) if "degree" in entry else degree_from_runs(entry["degree_rle"])
-    return BettiRecord(entry["i"], degree, entry["rank"])
-
-
 def betti_set_payload(bs: BettiSet) -> dict:
     return {"n": bs.n, "records": [record_payload(r, bs.n) for r in bs.sorted_records()]}
-
-
-def betti_set_from_payload(payload) -> BettiSet:
-    return BettiSet(payload["n"], frozenset(record_from_payload(e) for e in payload["records"]))
 
 
 def segment_set_payload(seg: SegmentSet) -> dict:
@@ -289,16 +273,6 @@ def segment_set_payload(seg: SegmentSet) -> dict:
         "D_ranks": [[*t, seg.rank_sums[t]] for t in sorted(seg.rank_sums)],
         "m": seg.m,
     }
-
-
-def segment_set_from_payload(payload) -> SegmentSet:
-    sums = {tuple(entry[:3]): entry[3] for entry in payload.get("D_ranks", [])}
-    return SegmentSet(
-        frozenset(tuple(p) for p in payload["base"]),
-        frozenset(tuple(t) for t in payload["D"]),
-        payload["m"],
-        sums,
-    )
 
 
 class AsymptoticProfile(FrozenValue):
@@ -576,57 +550,3 @@ def rank_stability_report(ideal: SymmetricIdeal, bs_m: BettiSet) -> CheckReport:
     return CheckReport(all(reports),
                        tuple(c for r in reports for c in r.counterexamples),
                        tuple(note for r in reports for note in r.notes))
-
-
-def length_two_closed_form(ideal: SymmetricIdeal, n: int) -> frozenset[BettiRecord]:
-    """Exact record set for ideals generated by length-two partitions, no homology run.
-
-    Write the generators as (p_1, q_1), ..., (p_t, q_t) with the p's strictly
-    decreasing; minimality forces the q's strictly increasing.  A nonzero
-    record has sorted degree (a_1, x, ..., x, 0, ..., 0) with a_1 = p_k for
-    some k, and the lattice and same-support filters pin x down to three
-    families:
-
-    * (i, (p_k, q_k repeated i + 1 times)) for every k, in degree i;
-    * (i + 1, (p_k, q_{k+1} repeated i + 1 times)) for consecutive pairs;
-    * for k = t only, the pure powers (p_t repeated l + 1 times) in degree l.
-
-    All ranks are one except in the balanced case p_t = q_t, where the two
-    constant families coincide and the divisibility complex at (p_t repeated
-    i + 2 times) is the codimension-two skeleton of a simplex instead of a
-    sphere, giving rank i + 1.  The smallest two-generator example already
-    shows this.
-    """
-    gens = sorted(ideal.generators, key=lambda g: -g.parts[0])
-    if not gens:
-        raise ZeroIdealError("the zero ideal has no closed form")
-    if any(g.length != 2 for g in gens):
-        raise ValueError("every generator must have length 2")
-    ps = [g.parts[0] for g in gens]
-    qs = [g.parts[1] for g in gens]
-    if any(ps[k] <= ps[k + 1] for k in range(len(gens) - 1)) or any(
-        qs[k] >= qs[k + 1] for k in range(len(gens) - 1)
-    ):
-        raise AssertionError("antichain generators must interleave strictly")
-    if n < 2:
-        return frozenset()
-    records = []
-    last = len(gens) - 1
-    for k in range(len(gens)):
-        balanced = k == last and ps[k] == qs[k]
-        for i in range(n - 1):
-            rank = i + 1 if balanced else 1
-            records.append(
-                BettiRecord(i, (ps[k],) + (qs[k],) * (i + 1) + (0,) * (n - i - 2), rank)
-            )
-        if k + 1 < len(gens):
-            for i in range(n - 1):
-                records.append(
-                    BettiRecord(i + 1, (ps[k],) + (qs[k + 1],) * (i + 1) + (0,) * (n - i - 2), 1)
-                )
-    if ps[last] > qs[last]:
-        for ell in range(1, n):
-            records.append(
-                BettiRecord(ell, (ps[last],) * (ell + 1) + (0,) * (n - ell - 1), 1)
-            )
-    return frozenset(records)

@@ -235,34 +235,3 @@ def taylor_strand_tor(generators, a, characteristic=0) -> dict[int, int]:
     if basis and max(len(g) for g in basis.values()) > _MATRIX_CAP:
         raise GeneratorCapError("degree strand needs ranks beyond the matrix cap")
     return chain_homology(basis, characteristic)
-
-
-def scarf_degrees(generators) -> set[tuple[int, tuple[int, ...]]]:
-    """Pairs (|S| - 1, lcm S) over subsets S whose lcm no other subset attains.
-
-    For ideals resolved by their unique-lcm subsets (tree ideals, for one)
-    these are exactly the nonzero Betti positions; in general they form a
-    subset of them.
-    """
-    gens = tuple(sorted(set(generators)))
-    if len(gens) > GENERATOR_CAP:
-        raise GeneratorCapError(f"{len(gens)} generators; the cap is {GENERATOR_CAP}")
-    if not gens:
-        return set()
-    n = len(gens[0])
-    counts: dict[tuple[int, ...], int] = {}
-    sizes: dict[tuple[int, ...], int] = {}
-
-    def walk(idx, lcm, size):
-        if idx == len(gens):
-            if size:
-                seen = counts.get(lcm, 0)
-                counts[lcm] = seen + 1
-                if not seen:
-                    sizes[lcm] = size
-            return
-        walk(idx + 1, lcm, size)
-        walk(idx + 1, tuple(map(max, lcm, gens[idx])), size + 1)
-
-    walk(0, (0,) * n, 0)
-    return {(sizes[lcm] - 1, lcm) for lcm, c in counts.items() if c == 1}

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import pytest
 from hypothesis import settings
 
-from symbetti import SymmetricIdeal, betti_set, minimal_generators
+from symbetti import BettiRecord, BettiSet, SymmetricIdeal, betti_set, minimal_generators
+from symbetti.betti import _ranks_at, family_terms
 from symbetti.homology import (
     VERTEX_CAP,
     ComplexTooLargeError,
@@ -261,6 +262,172 @@ def reference_segments(ideal, f_levels):
         triple = (r.i, sum(r.degree) - r.i, r.degree[-1] - 1)
         sums[triple] = sums.get(triple, 0) + r.rank
     return SegmentSet(base, frozenset(sums), m, sums)
+
+
+def reference_candidate_degrees(ideal, n):
+    """Reference for `candidate_degrees` and `candidate_heads`: the walk that built each tuple itself."""
+    gens = restrict_to_n(ideal, n)
+    if not gens:
+        return []
+    parts = sorted({p for g in gens for p in g.parts}, reverse=True)
+    m = max(g.length for g in gens)
+    padded = [g.parts + (0,) * (m + 1 - g.length) for g in gens]
+    out = []
+
+    def walk(head, start, fit, below):
+        t = len(head)
+        for j in range(start, len(parts)):
+            p = parts[j]
+            fit = [g for g in fit if g[t] <= p]
+            if not fit:
+                break
+            below = [g for g in below if g[t] < p]
+            if any(not g[t + 1] for g in below):
+                continue
+            longer = head + (p,)
+            if any(not g[t + 1] for g in fit):
+                tails = range(t + 1, n + 1) if t + 1 == m else (t + 1,)
+                out.extend(longer + (p,) * (u - t - 1) + (0,) * (n - u) for u in tails)
+            if t + 1 < m:
+                walk(longer, j, fit, below)
+
+    walk((), 0, padded, padded)
+    return sorted(out, reverse=True)
+
+
+def reference_betti_set(ideal, n):
+    """Reference for `betti_set`: every candidate built, grouped by its head a[:m], boxes found afresh.
+
+    Each head's boxes come from `reference_profile_boxes` over every
+    generator, not from the walk's dominating ones.
+    """
+    cands = reference_candidate_degrees(ideal, n)
+    gens = tuple(g.parts for g in restrict_to_n(ideal, n))
+    m = max(map(len, gens), default=0)
+    families = {}
+    for a in cands:
+        families.setdefault(a[:m], []).append(a)
+    records = []
+    for head, members in families.items():
+        terms = family_terms(*reference_profile_boxes(gens, head), ideal.characteristic)
+        last = min(filter(None, head))
+        for member in members:
+            dims = _ranks_at(terms, member.count(last))
+            records.extend(BettiRecord(i, member, rank) for i, rank in dims.items())
+    return BettiSet(n, frozenset(records))
+
+
+# Routines no command calls, kept here as references for the tests.
+
+def degree_from_runs(runs) -> tuple[int, ...]:
+    out: list[int] = []
+    for v, count in runs:
+        out.extend([v] * count)
+    return tuple(out)
+
+
+def record_from_payload(entry) -> BettiRecord:
+    degree = tuple(entry["degree"]) if "degree" in entry else degree_from_runs(entry["degree_rle"])
+    return BettiRecord(entry["i"], degree, entry["rank"])
+
+
+def betti_set_from_payload(payload) -> BettiSet:
+    return BettiSet(payload["n"], frozenset(record_from_payload(e) for e in payload["records"]))
+
+
+def segment_set_from_payload(payload) -> SegmentSet:
+    sums = {tuple(entry[:3]): entry[3] for entry in payload.get("D_ranks", [])}
+    return SegmentSet(
+        frozenset(tuple(p) for p in payload["base"]),
+        frozenset(tuple(t) for t in payload["D"]),
+        payload["m"],
+        sums,
+    )
+
+
+def length_two_closed_form(ideal: SymmetricIdeal, n: int) -> frozenset[BettiRecord]:
+    """Exact record set for ideals generated by length-two partitions, no homology run.
+
+    Write the generators as (p_1, q_1), ..., (p_t, q_t) with the p's strictly
+    decreasing; minimality forces the q's strictly increasing.  A nonzero
+    record has sorted degree (a_1, x, ..., x, 0, ..., 0) with a_1 = p_k for
+    some k, and the lattice and same-support filters pin x down to three
+    families:
+
+    * (i, (p_k, q_k repeated i + 1 times)) for every k, in degree i;
+    * (i + 1, (p_k, q_{k+1} repeated i + 1 times)) for consecutive pairs;
+    * for k = t only, the pure powers (p_t repeated l + 1 times) in degree l.
+
+    All ranks are one except in the balanced case p_t = q_t, where the two
+    constant families coincide and the divisibility complex at (p_t repeated
+    i + 2 times) is the codimension-two skeleton of a simplex instead of a
+    sphere, giving rank i + 1.  The smallest two-generator example already
+    shows this.
+    """
+    gens = sorted(ideal.generators, key=lambda g: -g.parts[0])
+    if not gens:
+        raise ZeroIdealError("the zero ideal has no closed form")
+    if any(g.length != 2 for g in gens):
+        raise ValueError("every generator must have length 2")
+    ps = [g.parts[0] for g in gens]
+    qs = [g.parts[1] for g in gens]
+    if any(ps[k] <= ps[k + 1] for k in range(len(gens) - 1)) or any(
+        qs[k] >= qs[k + 1] for k in range(len(gens) - 1)
+    ):
+        raise AssertionError("antichain generators must interleave strictly")
+    if n < 2:
+        return frozenset()
+    records = []
+    last = len(gens) - 1
+    for k in range(len(gens)):
+        balanced = k == last and ps[k] == qs[k]
+        for i in range(n - 1):
+            rank = i + 1 if balanced else 1
+            records.append(
+                BettiRecord(i, (ps[k],) + (qs[k],) * (i + 1) + (0,) * (n - i - 2), rank)
+            )
+        if k + 1 < len(gens):
+            for i in range(n - 1):
+                records.append(
+                    BettiRecord(i + 1, (ps[k],) + (qs[k + 1],) * (i + 1) + (0,) * (n - i - 2), 1)
+                )
+    if ps[last] > qs[last]:
+        for ell in range(1, n):
+            records.append(
+                BettiRecord(ell, (ps[last],) * (ell + 1) + (0,) * (n - ell - 1), 1)
+            )
+    return frozenset(records)
+
+
+def scarf_degrees(generators) -> set[tuple[int, tuple[int, ...]]]:
+    """Pairs (|S| - 1, lcm S) over subsets S whose lcm no other subset attains.
+
+    For ideals resolved by their unique-lcm subsets (tree ideals, for one)
+    these are exactly the nonzero Betti positions; in general they form a
+    subset of them.
+    """
+    gens = tuple(sorted(set(generators)))
+    if len(gens) > GENERATOR_CAP:
+        raise GeneratorCapError(f"{len(gens)} generators; the cap is {GENERATOR_CAP}")
+    if not gens:
+        return set()
+    n = len(gens[0])
+    counts: dict[tuple[int, ...], int] = {}
+    sizes: dict[tuple[int, ...], int] = {}
+
+    def walk(idx, lcm, size):
+        if idx == len(gens):
+            if size:
+                seen = counts.get(lcm, 0)
+                counts[lcm] = seen + 1
+                if not seen:
+                    sizes[lcm] = size
+            return
+        walk(idx + 1, lcm, size)
+        walk(idx + 1, tuple(map(max, lcm, gens[idx])), size + 1)
+
+    walk(0, (0,) * n, 0)
+    return {(sizes[lcm] - 1, lcm) for lcm, c in counts.items() if c == 1}
 
 
 def reference_tuple_basis(generators, a):

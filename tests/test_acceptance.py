@@ -25,9 +25,7 @@ from symbetti import (
     compose_betti,
     expand_generators,
     graded_table,
-    length_two_closed_form,
     pd_and_reg,
-    scarf_degrees,
     segments,
     taylor_strand_tor,
 )
@@ -37,7 +35,7 @@ from symbetti.homology import (
     euler_characteristic_check,
     reduced_homology_dims,
 )
-from conftest import random_ideal, random_length_two_ideal
+from conftest import length_two_closed_form, random_ideal, random_length_two_ideal, scarf_degrees
 
 F_J2 = {(0, (2, 2)), (0, (5, 1)), (1, (5, 2))}
 F_J3 = {(1, (2, 2, 2)), (1, (5, 1, 1)), (2, (5, 2, 2))}

@@ -172,3 +172,21 @@ class TestBettiRecordValidation:
     def test_rejects_degree_at_support(self):
         with pytest.raises(ValueError):
             BettiRecord(2, (2, 2, 0), 1)
+
+    def test_known_support_keeps_both_checks(self):
+        assert BettiRecord.of_support(1, (2, 2, 0), 1, 2) == BettiRecord(1, (2, 2, 0), 1)
+        with pytest.raises(ValueError, match="below the support size"):
+            BettiRecord.of_support(2, (2, 2, 0), 1, 2)
+        with pytest.raises(ValueError, match="zero entries"):
+            BettiRecord.of_support(0, (2, 2, 0), 0, 2)
+
+    def test_betti_set_checks_the_support_it_knows(self, ideal_j, monkeypatch):
+        import symbetti.betti as betti
+
+        real = betti._ranks_at
+        # the mutant: every rank one homological degree up, so (5, 2)'s
+        # rank in degree 1 lands in degree 2, its support
+        monkeypatch.setattr(betti, "_ranks_at",
+                            lambda terms, s: {i + 1: rank for i, rank in real(terms, s).items()})
+        with pytest.raises(ValueError, match="below the support size"):
+            betti_set(ideal_j, 2)

@@ -19,17 +19,17 @@ from symbetti import (
     SegmentSet,
     IdealFileError,
     betti_set,
-    betti_set_from_payload,
     betti_set_payload,
     candidate_degrees,
     compose_betti,
     graded_table,
     parse_ideal_file,
     parse_ideal_text,
-    segment_set_from_payload,
+    restrict_to_n,
     segment_set_payload,
     segments,
 )
+from symbetti.betti import profile_boxes
 from symbetti.cli import (
     EXIT_CAP,
     EXIT_INPUT,
@@ -42,9 +42,16 @@ from symbetti.cli import (
     parse_args,
     render_graded_table,
 )
-from symbetti.stability import DEGREE_LIST_LIMIT, degree_from_runs, record_payload
+from symbetti.stability import DEGREE_LIST_LIMIT, record_payload
 
-from conftest import reference_json_text, reference_parser, reference_record_payload
+from conftest import (
+    betti_set_from_payload,
+    degree_from_runs,
+    reference_json_text,
+    reference_parser,
+    reference_record_payload,
+    segment_set_from_payload,
+)
 
 
 def write_ideal(tmp_path, payload, name="ideal.json"):
@@ -579,15 +586,16 @@ class TestCommands:
 
         real_set, real_terms = cli.betti_set, betti.family_terms
         real_complex = betti.upper_koszul_complex
-        tables, terms_calls, complexes = [], Counter(), Counter()
+        tables, terms_calls, complexes, ideals = [], Counter(), Counter(), set()
 
         def spy_set(ideal, n):
             tables.append((n, ideal.characteristic))
+            ideals.add(id(ideal))
             return real_set(ideal, n)
 
-        def spy_terms(gens, characteristic, head):
-            terms_calls[(characteristic, tuple(head))] += 1
-            return real_terms(gens, characteristic, head)
+        def spy_terms(sizes, boxes, characteristic):
+            terms_calls[(characteristic, tuple(sizes), tuple(boxes))] += 1
+            return real_terms(sizes, boxes, characteristic)
 
         def spy_complex(gens, a):
             complexes[tuple(a)] += 1
@@ -601,15 +609,23 @@ class TestCommands:
         code, out = run(["verify", "--ideal", path, "--max-n", "4", "--parallel", "1"])
         assert code == EXIT_OK
         assert sorted(tables) == [(1, 0), (2, 0), (2, 2), (3, 0), (4, 0)]
+        # one ideal for the file's characteristic, one for characteristic 2
+        assert len(ideals) == 2
         ideal = parse_ideal_file(path)
         m = ideal.max_length
-        cands = [(p, a, sum(1 for e in a if e)) for n, p in tables
+
+        def head(n, p, a):
+            # a head, identified by its block sizes and boxes at level n
+            sizes, boxes = profile_boxes(restrict_to_n(ideal, n), a[:m])
+            return p, tuple(sizes), tuple(boxes)
+
+        cands = [(n, p, a, sum(1 for e in a if e)) for n, p in tables
                  for a in candidate_degrees(ideal, n)]
-        # in each table, one family per candidate of support below m (its
+        # in each table, one ranking per candidate of support below m (its
         # own head, zero padded to m) and one per head of support m; nothing else
-        assert terms_calls == Counter((p, a[:m]) for p, a, t in cands if t <= m)
+        assert terms_calls == Counter(head(n, p, a) for n, p, a, t in cands if t <= m)
         # every longer candidate lies in the family of one of those heads
-        assert all((p, a[:m]) in terms_calls for p, a, t in cands if t > m)
+        assert all(head(n, p, a) in terms_calls for n, p, a, t in cands if t > m)
         # one K^a per candidate at level m = 2, for the reference side only
         assert complexes == Counter(candidate_degrees(ideal, 2))
 
@@ -638,10 +654,13 @@ class TestCommands:
 
         real = betti.family_terms
 
-        def wrong_at_52(gens, characteristic, head):
-            # (5, 2) heads its family; one term (i0, e, coef) = (0, 0, 2)
-            # gives rank 2 in degree 1 at the head, whose last block is 1
-            return [(0, 0, 2)] if tuple(head) == (5, 2) else real(gens, characteristic, head)
+        def wrong_at_52(sizes, boxes, characteristic):
+            # (5, 2) heads its family, with blocks of sizes 1, 1 and the boxes
+            # of (5, 1) and (2, 2); one term (i0, e, coef) = (0, 0, 2) gives
+            # rank 2 in degree 1 at the head, whose last block is 1
+            if (sizes, boxes) == ([1, 1], [(0, 1), (1, 0)]):
+                return [(0, 0, 2)]
+            return real(sizes, boxes, characteristic)
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
         monkeypatch.setattr(betti, "family_terms", wrong_at_52)

@@ -36,6 +36,8 @@ from conftest import (
     RP2_PARTS,
     TREE4_PARTS,
     reference_betti_dims,
+    reference_betti_set,
+    reference_candidate_degrees,
     reference_candidates,
     reference_profile_boxes,
     reference_upper_koszul_complex,
@@ -146,16 +148,14 @@ def test_lower_head_terms_hold_at_their_own_block_only(ideal_tree, monkeypatch):
     gens = restrict_to_n(ideal_tree, 4)
     a = (4, 4, 0, 0)
     assert betti_at_degree(ideal_tree, a, gens) == bitmask_betti_dims(gens, 0, a) == {}
-    assert _ranks_at(family_terms(gens, 0, (4, 0, 0, 0)), 1) == \
+    assert _ranks_at(family_terms(*profile_boxes(gens, (4, 0, 0, 0)), 0), 1) == \
         betti_at_degree(ideal_tree, (4, 0, 0, 0), gens) == {0: 1}
     real = betti_module.family_terms
 
-    def lower_head(gens, characteristic, head):
-        # the mutant: a degree of support below m ranked from the terms of
-        # its head with the last block one shorter, evaluated at s0 + 1
-        head = sorted(head, reverse=True)
-        head.remove(min(filter(None, head)))
-        return real(gens, characteristic, head + [0])
+    def lower_head(sizes, boxes, characteristic):
+        # the mutant: a's terms taken from its head with the last block one
+        # shorter, (4,), and evaluated at a's own last block
+        return real(*profile_boxes(gens, (4, 0, 0, 0)), characteristic)
 
     monkeypatch.setattr(betti_module, "family_terms", lower_head)
     assert betti_at_degree(ideal_tree, a, gens) == {1: 1}
@@ -395,3 +395,46 @@ def test_family_ranks_match_direct_on_random_levels(ideal, n, characteristic):
     got = ranks_by_degree(betti_set(ideal, n))
     for a in candidate_degrees(ideal, n):
         assert got.get(a, {}) == betti_at_degree(ideal, a, gens), a
+
+
+WALK_LEVELS = [*range(1, 13), 40]
+
+
+@pytest.mark.parametrize("characteristic", [0, 2, 3])
+@pytest.mark.parametrize("name", sorted(FIXTURE_LEVELS))
+def test_walk_ranking_matches_reference_on_fixtures(name, characteristic):
+    ideal = SymmetricIdeal.from_parts(FIXTURE_LEVELS[name][0], characteristic)
+    for n in WALK_LEVELS:
+        assert candidate_degrees(ideal, n) == reference_candidate_degrees(ideal, n), n
+        assert betti_set(ideal, n) == reference_betti_set(ideal, n), n
+
+
+# generators of one part (m = 1) and of several
+@example(SymmetricIdeal.from_parts([(3,)]), 4, 0)
+@example(SymmetricIdeal.from_parts([(2,), (1, 1)]), 3, 2)
+@given(st.lists(partitions, min_size=1, max_size=4).map(SymmetricIdeal.from_parts),
+       st.integers(1, 10), st.sampled_from([0, 2, 3]))
+def test_walk_ranking_matches_reference_on_random_levels(ideal, n, characteristic):
+    ideal = SymmetricIdeal(ideal.generators, characteristic)
+    assert candidate_degrees(ideal, n) == reference_candidate_degrees(ideal, n)
+    assert betti_set(ideal, n) == reference_betti_set(ideal, n)
+
+
+def test_walk_ranking_mutants_differ_from_reference(ideal_rp2, monkeypatch):
+    expected = reference_betti_set(ideal_rp2, 9)
+    real_heads, real_ranks = betti_module.candidate_heads, betti_module._ranks_at
+
+    def drop_dividing(gens, n):
+        # the walk loses one of several generators that dominate a head
+        return [(head, blocks, dividing[1:] if len(dividing) > 1 else dividing, tails)
+                for head, blocks, dividing, tails in real_heads(gens, n)]
+
+    def wrong_block(terms, s):
+        # the weights of a last block one longer, in the degrees of s
+        return {i - 1: rank for i, rank in real_ranks(terms, s + 1).items()}
+
+    for name, mutant in [("candidate_heads", drop_dividing), ("_ranks_at", wrong_block)]:
+        with monkeypatch.context() as mp:
+            mp.setattr(betti_module, name, mutant)
+            assert betti_set(ideal_rp2, 9) != expected, name
+    assert betti_set(ideal_rp2, 9) == expected

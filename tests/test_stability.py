@@ -18,7 +18,6 @@ from symbetti import (
     compose_betti,
     extrapolate_full_support,
     graded_table,
-    length_two_closed_form,
     pd_and_reg,
     rank_stability_report,
     segments,
@@ -29,6 +28,7 @@ from conftest import (
     PERM4_PARTS,
     RP2_PARTS,
     TREE4_PARTS,
+    length_two_closed_form,
     random_ideal,
     reference_compose_betti,
     reference_levels,

@@ -15,7 +15,6 @@ from symbetti import (
     candidate_degrees,
     chain_homology,
     expand_generators,
-    scarf_degrees,
     strand_basis,
     taylor_strand_tor,
 )
@@ -35,6 +34,7 @@ from conftest import (
     reference_lyubeznik_basis,
     reference_taylor_basis,
     reference_tuple_basis,
+    scarf_degrees,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
