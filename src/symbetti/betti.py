@@ -85,7 +85,7 @@ from .ideals import (
 from .ideals import candidate_degrees, orbit_size  # noqa: F401
 
 
-class BettiRecord(FrozenValue):
+class BettiRecord(FrozenValue, order=True):
     """One nonzero multigraded Betti number: (homological degree, sorted degree, rank)."""
 
     __slots__ = ("i", "degree", "rank")
@@ -112,33 +112,9 @@ class BettiRecord(FrozenValue):
                 f"homological degree {i} must be below the support size of {degree}"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) == (other.i, other.degree, other.rank)
-        return NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) < (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) <= (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) > (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) >= (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i, self.degree, self.rank))
+# the order of BettiRecord.__lt__, without a Python call per comparison
+record_key = operator.attrgetter("i", "degree", "rank")
 
 
 class BettiSet(FrozenValue):
@@ -149,14 +125,6 @@ class BettiSet(FrozenValue):
     def __init__(self, n: int, records: frozenset[BettiRecord]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "records", records)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.records) == (other.n, other.records)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.records))
 
     def B(self) -> set[BettiRecord]:
         """All records, zero padded degrees included."""
@@ -174,8 +142,7 @@ class BettiSet(FrozenValue):
         return {(r.i, sum(r.degree) - r.i) for r in self.records}
 
     def sorted_records(self) -> list[BettiRecord]:
-        # the order of BettiRecord.__lt__, without a Python call per comparison
-        return sorted(self.records, key=operator.attrgetter("i", "degree", "rank"))
+        return sorted(self.records, key=record_key)
 
     @property
     def is_empty(self) -> bool:

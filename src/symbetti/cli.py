@@ -17,7 +17,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
-from .betti import BettiSet, betti_set, bitmask_betti_dims, graded_table, pd_and_reg
+from .betti import BettiSet, betti_set, bitmask_betti_dims, graded_table, pd_and_reg, record_key
 from .homology import ComplexTooLargeError
 # not called here, but perfbench/tracer.py wraps these names in symbetti.cli
 from .betti import betti_at_degree, upper_koszul_complex  # noqa: F401
@@ -194,7 +194,7 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
     if not report.passed:
         raise ConsistencyError("composed positions disagree with direct computation",
                                report.counterexamples)
-    top_records = sorted(bs_m.F())
+    top_records = sorted(bs_m.F(), key=record_key)
     total = record_count(bs_m, args.n)
     payload = {
         "n": args.n,

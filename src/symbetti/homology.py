@@ -15,6 +15,7 @@ homology dimensions) are never corrupted by overflow or round-off.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from math import gcd
 
@@ -52,15 +53,46 @@ def validate_characteristic(p: int) -> int:
 class FrozenValue:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in `__slots__`, in constructor order, stores
-    them in `__init__` through `object.__setattr__`, and writes out `__eq__`
-    and `__hash__` (and the ordering, where it has one) on the tuple of its
-    fields, so comparing and hashing never go through this class.  It gives
-    the rarely called parts: a repr naming every field, pickling through the
+    A subclass lists its fields in `__slots__`, in constructor order, and
+    stores them in `__init__` through `object.__setattr__`.  Defining it
+    generates `__eq__` and `__hash__` on the tuple of its fields and, with
+    `order=True` among the class keywords, `__lt__`, `__le__`, `__gt__` and
+    `__ge__`, as `@dataclass(frozen=True, order=...)` did: another class
+    compares as NotImplemented, and one field hashes as a one-element tuple.
+    The base also gives a repr naming every field, pickling through the
     constructor, and refusing assignment and deletion.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, order=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        key = operator.attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            key = lambda value, field=key: (field(value),)  # noqa: E731
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        def ordering(op):
+            def compare(self, other):
+                if other.__class__ is self.__class__:
+                    return op(key(self), key(other))
+                return NotImplemented
+            return compare
+
+        methods = {"__eq__": __eq__, "__hash__": __hash__}
+        if order:
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                methods[f"__{op.__name__}__"] = ordering(op)
+        for name, method in methods.items():
+            if name not in vars(cls):  # a comparison the class writes itself stays
+                setattr(cls, name, method)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -96,14 +128,6 @@ class SimplicialComplex(FrozenValue):
         object.__setattr__(self, "faces", frozenset(faces))
         if not self.is_downward_closed():
             raise ValueError("complex is not downward closed")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.vertex_count, self.faces) == (other.vertex_count, other.faces)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.faces))
 
     @classmethod
     def from_faces(cls, vertex_count: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":

@@ -21,7 +21,7 @@ class ZeroIdealError(ValueError):
     """An operation that needs a nonzero ideal was given the zero ideal."""
 
 
-class Partition(FrozenValue):
+class Partition(FrozenValue, order=True):
     """A weakly decreasing sequence of positive integers."""
 
     __slots__ = ("parts",)
@@ -36,34 +36,6 @@ class Partition(FrozenValue):
             if k and parts[k - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) == (other.parts,)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) < (other.parts,)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) <= (other.parts,)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) > (other.parts,)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts,) >= (other.parts,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @property
     def length(self) -> int:
@@ -120,15 +92,6 @@ class SymmetricIdeal(FrozenValue):
         validate_characteristic(characteristic)
         if minimal_generators(gens) != set(gens):
             raise ValueError("generators are not an antichain; apply minimal_generators")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.generators, self.characteristic, self.name)
-                    == (other.generators, other.characteristic, other.name))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.generators, self.characteristic, self.name))
 
     @classmethod
     def from_parts(cls, parts: Iterable[Sequence[int]], characteristic: int = 0,
@@ -256,19 +219,6 @@ def orbit_size(a: Sequence[int], n: int | None = None) -> int:
     for count in Counter(a).values():
         denom *= math.factorial(count)
     return math.factorial(n) // denom
-
-
-def encode_runs(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Merge (value, count) pairs into maximal runs [[value, count], ...]; zero counts drop."""
-    out: list[list[int]] = []
-    for v, c in pairs:
-        if not c:
-            continue
-        if out and out[-1][0] == v:
-            out[-1][1] += c
-        else:
-            out.append([v, c])
-    return out
 
 
 def candidate_heads(gens, n: int) -> list[tuple]:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .betti import BettiRecord, BettiSet, betti_set
+from .betti import BettiRecord, BettiSet, betti_set, record_key
 # not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
 from .betti import pd_and_reg  # noqa: F401
 from .homology import FrozenValue
-from .ideals import SymmetricIdeal, ZeroIdealError, encode_runs
+from .ideals import SymmetricIdeal, ZeroIdealError
 
 
 class SizeCapError(ValueError):
@@ -48,7 +48,12 @@ class ConsistencyError(Exception):
         self.counterexamples = tuple(counterexamples)
 
 
-class CompactDegree(FrozenValue):
+def run_lengths(entries) -> list[list[int]]:
+    """Maximal runs [[value, count], ...] of equal consecutive entries."""
+    return [[v, len(list(run))] for v, run in groupby(entries)]
+
+
+class CompactDegree(FrozenValue, order=True):
     """A sorted exponent vector stored as prefix + repeated block + zeros.
 
     Construction folds trailing prefix entries equal to the repeated value
@@ -87,39 +92,6 @@ class CompactDegree(FrozenValue):
         object.__setattr__(self, "repeat_count", count)
         object.__setattr__(self, "zero_count", zeros)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
-                    == (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
-                    < (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
-                    <= (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
-                    > (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.prefix, self.repeated_value, self.repeat_count, self.zero_count)
-                    >= (other.prefix, other.repeated_value, other.repeat_count, other.zero_count))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prefix, self.repeated_value, self.repeat_count, self.zero_count))
-
     @classmethod
     def from_vector(cls, degree) -> "CompactDegree":
         degree = tuple(degree)
@@ -145,12 +117,20 @@ class CompactDegree(FrozenValue):
                 + (0,) * self.zero_count)
 
     def runs(self) -> list[list[int]]:
-        """Run-length encoding [[value, count], ...] without expanding."""
-        return encode_runs([*((v, 1) for v in self.prefix),
-                            (self.repeated_value, self.repeat_count), (0, self.zero_count)])
+        """Run-length encoding [[value, count], ...] without expanding.
+
+        The constructor keeps the prefix positive and its last entry above a
+        nonempty block, so prefix, block and zeros never share a run.
+        """
+        out = run_lengths(self.prefix)
+        if self.repeat_count:
+            out.append([self.repeated_value, self.repeat_count])
+        if self.zero_count:
+            out.append([0, self.zero_count])
+        return out
 
 
-class CompactRecord(FrozenValue):
+class CompactRecord(FrozenValue, order=True):
     """A Betti record whose degree is stored in run-length form."""
 
     __slots__ = ("i", "degree", "rank")
@@ -160,33 +140,11 @@ class CompactRecord(FrozenValue):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "rank", rank)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) == (other.i, other.degree, other.rank)
-        return NotImplemented
 
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) < (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) <= (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) > (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.degree, self.rank) >= (other.i, other.degree, other.rank)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i, self.degree, self.rank))
+def compact_record_key(record: CompactRecord) -> tuple:
+    """The order of CompactRecord.__lt__ as one flat tuple, without a Python call per comparison."""
+    d = record.degree
+    return record.i, d.prefix, d.repeated_value, d.repeat_count, d.zero_count, record.rank
 
 
 class SegmentSet:
@@ -248,17 +206,11 @@ DEGREE_LIST_LIMIT = 10_000
 
 def record_payload(record, n: int) -> dict:
     """JSON entry of a `BettiRecord` (sorted tuple degree) or a `CompactRecord`."""
-    if isinstance(record, CompactRecord):
-        entry = {"i": record.i, "rank": record.rank, "degree_rle": record.degree.runs()}
-        if n <= DEGREE_LIST_LIMIT:
-            entry["degree"] = list(record.degree.expand())
-        return entry
-    # a sorted degree's maximal runs are its groups of equal entries
-    degree = record.degree
+    degree, compact = record.degree, isinstance(record, CompactRecord)
     entry = {"i": record.i, "rank": record.rank,
-             "degree_rle": [[v, len(list(run))] for v, run in groupby(degree)]}
+             "degree_rle": degree.runs() if compact else run_lengths(degree)}
     if n <= DEGREE_LIST_LIMIT:
-        entry["degree"] = list(degree)
+        entry["degree"] = list(degree.expand() if compact else degree)
     return entry
 
 
@@ -298,21 +250,6 @@ class AsymptoticProfile(FrozenValue):
         object.__setattr__(self, "min_length", min_length)
         object.__setattr__(self, "stabilization_level", stabilization_level)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.pd_offset, self.reg_slope, self.reg_intercept, self.threshold,
-                     self.cohen_macaulay, self.min_first_part, self.min_length,
-                     self.stabilization_level)
-                    == (other.pd_offset, other.reg_slope, other.reg_intercept, other.threshold,
-                        other.cohen_macaulay, other.min_first_part, other.min_length,
-                        other.stabilization_level))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.pd_offset, self.reg_slope, self.reg_intercept, self.threshold,
-                     self.cohen_macaulay, self.min_first_part, self.min_length,
-                     self.stabilization_level))
-
     def pd_at(self, n: int) -> int:
         return n - self.pd_offset
 
@@ -341,7 +278,7 @@ def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[C
 
     Each record moves n - m steps along the stable shift, ranks unchanged.
     """
-    records = sorted(f_records)
+    records = sorted(f_records, key=record_key)
     if not records:
         return ()
     lengths = {len(r.degree) for r in records}
@@ -364,7 +301,8 @@ def lower_records(bs_m: BettiSet) -> list[BettiRecord]:
 
     Zeros stripped; ordered by support, then by (i, degree, rank).
     """
-    lower = [BettiRecord(r.i, r.degree[:r.degree.index(0)], r.rank)
+    # a record's support is the index of its degree's first zero
+    lower = [BettiRecord.of_support(r.i, r.degree[:(t := r.degree.index(0))], r.rank, t)
              for r in bs_m.records - bs_m.F()]
     return sorted(lower, key=lambda r: (len(r.degree), r.i, r.degree, r.rank))
 
@@ -392,7 +330,7 @@ def compose_betti(ideal: SymmetricIdeal, n: int, bs_m: BettiSet) -> tuple[Compac
                            "use the family description instead")
     out = [pad_record(r, n) for r in lower_records(bs_m)]
     out += [shift_record(r, k, n - m - k) for r in bs_m.F() for k in range(n - m + 1)]
-    return tuple(sorted(out))
+    return tuple(sorted(out, key=compact_record_key))
 
 
 def segments(ideal: SymmetricIdeal, bs_m: BettiSet | None = None) -> SegmentSet:
@@ -465,15 +403,6 @@ class CheckReport(FrozenValue):
         object.__setattr__(self, "counterexamples", counterexamples)
         object.__setattr__(self, "notes", notes)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.passed, self.counterexamples, self.notes)
-                    == (other.passed, other.counterexamples, other.notes))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.passed, self.counterexamples, self.notes))
-
     def __bool__(self) -> bool:
         return self.passed
 
@@ -496,7 +425,7 @@ def check_shift_equivalence(ideal: SymmetricIdeal, n: int,
     if bs_next is None:
         bs_next = betti_set(ideal, n + 1)
     lifts = {}  # (i + 1, a with a_m repeated) -> (i, a)
-    for r in sorted(bs_n.F()):
+    for r in sorted(bs_n.F(), key=record_key):
         lifted = shift_record(r, 1)
         lifts[(lifted.i, lifted.degree.expand())] = (r.i, r.degree)
     f_next = {(r.i, r.degree) for r in bs_next.F()}

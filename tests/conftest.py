@@ -27,7 +27,6 @@ from symbetti.ideals import (
     _as_parts,
     contains_monomial,
     dominates,
-    encode_runs,
     orbit_size,
     restrict_to_n,
 )
@@ -147,6 +146,19 @@ def reference_head_candidates(ideal, n):
             tails = range(t, n + 1) if t == m else (t,)
             out.extend(head + head[-1:] * (u - t) + (0,) * (n - u) for u in tails)
     return sorted(out, reverse=True)
+
+
+def encode_runs(pairs) -> list[list[int]]:
+    """Reference run-length codec: merge (value, count) pairs into maximal runs; zero counts drop."""
+    out: list[list[int]] = []
+    for v, c in pairs:
+        if not c:
+            continue
+        if out and out[-1][0] == v:
+            out[-1][1] += c
+        else:
+            out.append([v, c])
+    return out
 
 
 def reference_profile_boxes(gens, a):

@@ -22,12 +22,20 @@ from symbetti import (
     rank_stability_report,
     segments,
 )
-from symbetti.stability import SizeCapError, lower_records, segment_set_payload
+from symbetti.betti import record_key
+from symbetti.stability import (
+    SizeCapError,
+    compact_record_key,
+    lower_records,
+    segment_set_payload,
+    shift_record,
+)
 from conftest import (
     J_PARTS,
     PERM4_PARTS,
     RP2_PARTS,
     TREE4_PARTS,
+    encode_runs,
     length_two_closed_form,
     random_ideal,
     reference_compose_betti,
@@ -54,6 +62,21 @@ class TestCompactDegree:
 
     def test_runs(self):
         assert CompactDegree((5, 5, 1), 1, 2, 3).runs() == [[5, 2], [1, 3], [0, 3]]
+
+    @example(CompactDegree.from_vector((3, 2, 2, 0)))
+    @example(CompactDegree((3,), 2, 2, 1))
+    @example(CompactDegree((), 0, 0, 0))
+    @given(st.one_of(
+        st.tuples(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 4),
+                  st.integers(0, 3), st.integers(0, 3)).map(
+            lambda args: CompactDegree(sorted(args[0], reverse=True),
+                                       min(args[0] + [args[1]]), *args[2:])),
+        st.lists(st.integers(0, 4), max_size=6).map(
+            lambda v: CompactDegree.from_vector(sorted(v, reverse=True)))))
+    def test_runs_match_the_reference_codec(self, d):
+        merged = encode_runs([*((v, 1) for v in d.prefix),
+                              (d.repeated_value, d.repeat_count), (0, d.zero_count)])
+        assert d.runs() == merged == encode_runs((e, 1) for e in d.expand())
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -321,6 +344,38 @@ def assert_table_matches_levels(ideal):
 
 FIXTURE_PARTS = {"J": J_PARTS, "tree4": TREE4_PARTS, "permutohedron4": PERM4_PARTS,
                  "rp2": RP2_PARTS}
+
+
+def assert_key_sorts_match_lt(ideal, levels):
+    """Every keyed record sort gives the list that `sorted` with the generated `__lt__` gives."""
+    m = ideal.max_length
+    top = betti_set(ideal, m).F()
+    assert sorted(top, key=record_key) == sorted(top)
+    for n in levels:
+        bs_n = betti_set(ideal, n)
+        assert bs_n.sorted_records() == sorted(bs_n.records)
+        assert sorted(bs_n.F(), key=record_key) == sorted(bs_n.F())
+        composed = compose_betti(ideal, n, betti_set(ideal, m))
+        assert list(composed) == sorted(composed)
+        shuffled = random.Random(n).sample(composed, len(composed))
+        assert sorted(shuffled, key=compact_record_key) == sorted(shuffled)
+        assert (extrapolate_full_support(top, n, m)
+                == tuple(shift_record(r, n - m) for r in sorted(top)))
+
+
+class TestKeySorts:
+    @pytest.mark.parametrize("characteristic", [0, 2])
+    @pytest.mark.parametrize("name", sorted(FIXTURE_PARTS))
+    def test_fixtures(self, name, characteristic):
+        ideal = SymmetricIdeal.from_parts(FIXTURE_PARTS[name], characteristic)
+        m = ideal.max_length
+        assert_key_sorts_match_lt(ideal, range(m, m + 4))
+
+    @given(antichains, st.sampled_from([0, 2]))
+    def test_random_antichains(self, ideal, characteristic):
+        ideal = SymmetricIdeal(ideal.generators, characteristic)
+        m = ideal.max_length
+        assert_key_sorts_match_lt(ideal, range(m, m + 4))
 
 
 class TestLevelMTable:

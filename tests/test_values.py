@@ -13,8 +13,9 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symbetti  # noqa: F401  (every module, so every value class, is loaded)
 from symbetti.betti import BettiRecord, BettiSet
-from symbetti.homology import SimplicialComplex
+from symbetti.homology import FrozenValue, SimplicialComplex
 from symbetti.ideals import Partition, SymmetricIdeal
 from symbetti.stability import (
     AsymptoticProfile,
@@ -188,3 +189,43 @@ def test_matches_dataclass(name, data):
         for f in [*fields, "not_a_field"]:
             assert _same_refusal(lambda target, f=f: setattr(target, f, 0), value, twin)
             assert _same_refusal(lambda target, f=f: delattr(target, f), value, twin)
+
+
+GENERATED = "FrozenValue.__init_subclass__.<locals>."
+
+
+def test_every_value_class_is_a_case_with_generated_comparisons():
+    """A new value class must join CASES, and no value class writes its own comparison."""
+    subclasses = [cls for cls in FrozenValue.__subclasses__()
+                  if cls.__module__.startswith("symbetti.")]
+    assert {cls.__name__ for cls in subclasses} == set(CASES) - {"SegmentSet"}
+    for cls in subclasses:
+        case, _, _, ordered = CASES[cls.__name__]
+        assert case is cls
+        assert cls.__eq__.__qualname__ == GENERATED + "__eq__"
+        assert cls.__hash__.__qualname__ == GENERATED + "__hash__"
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            method = getattr(cls, name)
+            if ordered:
+                assert method.__qualname__ == GENERATED + "ordering.<locals>.compare"
+            else:
+                assert method is getattr(object, name)
+    assert SegmentSet.__eq__.__qualname__ == "SegmentSet.__eq__"
+    assert SegmentSet.__hash__ is None
+
+
+def test_a_comparison_written_in_the_class_stays():
+    class Pair(FrozenValue, order=True):
+        __slots__ = ("a", "b")
+
+        def __init__(self, a, b):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+
+        def __lt__(self, other):
+            return self.b < other.b
+
+    assert not Pair(1, 2) < Pair(2, 1)
+    assert Pair(2, 1) < Pair(1, 2)
+    assert Pair(1, 2) <= Pair(2, 1) and Pair(1, 2) == Pair(1, 2) != Pair(2, 1)
+    assert hash(Pair(1, 2)) == hash((1, 2))
