@@ -20,7 +20,6 @@ from symbetti import (
     betti_set,
     compose_betti,
     graded_table,
-    orbit_size,
     pd_and_reg,
     parse_ideal_file,
     segments,

@@ -51,14 +51,12 @@ from .stability import (
     SegmentSet,
     SizeCapError,
     asymptotics,
-    betti_set_payload,
     check_positive_lift,
     check_shift_equivalence,
     check_stable_composition,
     compose_betti,
     extrapolate_full_support,
     rank_stability_report,
-    segment_set_payload,
     segments,
 )
 from .taylor import (
@@ -88,7 +86,6 @@ __all__ = [
     "asymptotics",
     "betti_at_degree",
     "betti_set",
-    "betti_set_payload",
     "boundary_matrices",
     "boundary_squares_to_zero",
     "candidate_degrees",
@@ -113,7 +110,6 @@ __all__ = [
     "rank_stability_report",
     "reduced_homology_dims",
     "restrict_to_n",
-    "segment_set_payload",
     "segments",
     "strand_basis",
     "taylor_strand_tor",

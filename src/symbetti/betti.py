@@ -206,9 +206,9 @@ def bitmask_betti_dims(gens, characteristic, a) -> dict[int, int]:
     return {i + 1: d for i, d in reduced_homology_dims(cx, characteristic).items()}
 
 
-def _ge_row(parts, top: int) -> list[int]:
-    """#{parts >= v} for v = 0..top."""
-    return [sum(1 for p in parts if p >= v) for v in range(top + 1)]
+def _ge_row(parts, values) -> dict[int, int]:
+    """#{parts >= v} for each v of `values`, which must hold every block value read."""
+    return {v: sum(1 for p in parts if p >= v) for v in values}
 
 
 def _boxes(blocks, rows) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -232,7 +232,7 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """
     a = sorted(a, reverse=True)
     blocks = [(v, len(list(run))) for v, run in itertools.groupby(a) if v > 0]
-    return _boxes(blocks, [_ge_row(parts, a[0]) for parts in map(_as_parts, gens)
+    return _boxes(blocks, [_ge_row(parts, set(a)) for parts in map(_as_parts, gens)
                            if dominates(a, parts)])
 
 
@@ -328,11 +328,11 @@ def betti_set(ideal: SymmetricIdeal, n: int) -> BettiSet:
     """
     gens = restrict_to_n(ideal, n)
     p = ideal.characteristic
-    top = max((g.parts[0] for g in gens), default=0)
-    rows: dict[tuple[int, ...], list[int]] = {}  # `_ge_row` per generator, padded as the walk gives it
+    values = {part for g in gens for part in g.parts}  # a head's block values
+    rows: dict[tuple[int, ...], dict[int, int]] = {}  # `_ge_row` per generator, padded as the walk gives it
     records = []
     for head, blocks, dividing, tails in candidate_heads(gens, n):
-        sizes, boxes = _boxes(blocks, [rows.get(g) or rows.setdefault(g, _ge_row(g, top))
+        sizes, boxes = _boxes(blocks, [rows.get(g) or rows.setdefault(g, _ge_row(g, values))
                                        for g in dividing])
         terms = family_terms(sizes, boxes, p)
         if not terms:

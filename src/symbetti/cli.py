@@ -32,10 +32,11 @@ from .ideals import (
 )
 from .stability import (
     AsymptoticProfile,
+    CompactRecord,
     ConsistencyError,
+    SegmentSet,
     SizeCapError,
     asymptotics,
-    betti_set_payload,
     check_positive_lift,
     check_shift_equivalence,
     check_stable_composition,
@@ -45,8 +46,7 @@ from .stability import (
     pad_record,
     rank_stability_report,
     record_count,
-    record_payload,
-    segment_set_payload,
+    run_lengths,
     segments,
 )
 from .taylor import (
@@ -64,6 +64,34 @@ EXIT_INPUT = 1
 EXIT_VERIFY = 2
 EXIT_CAP = 3
 EXIT_PIPE = 141  # what a shell reports for a program stopped by SIGPIPE (128 + 13)
+
+
+# A degree travels in the run-length form of CompactDegree.runs(), plus the
+# explicit array up to this many variables.
+DEGREE_LIST_LIMIT = 10_000
+
+
+def record_payload(record, n: int) -> dict:
+    """JSON entry of a `BettiRecord` (sorted tuple degree) or a `CompactRecord`."""
+    degree, compact = record.degree, isinstance(record, CompactRecord)
+    entry = {"i": record.i, "rank": record.rank,
+             "degree_rle": degree.runs() if compact else run_lengths(degree)}
+    if n <= DEGREE_LIST_LIMIT:
+        entry["degree"] = list(degree.expand() if compact else degree)
+    return entry
+
+
+def betti_set_payload(bs: BettiSet) -> dict:
+    return {"n": bs.n, "records": [record_payload(r, bs.n) for r in bs.sorted_records()]}
+
+
+def segment_set_payload(seg: SegmentSet) -> dict:
+    return {
+        "base": [list(p) for p in sorted(seg.base)],
+        "D": [list(t) for t in sorted(seg.starts)],
+        "D_ranks": [[*t, seg.rank_sums[t]] for t in sorted(seg.rank_sums)],
+        "m": seg.m,
+    }
 
 
 def table_payload(table: dict[tuple[int, int], int]) -> list[dict]:

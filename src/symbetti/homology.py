@@ -27,18 +27,34 @@ class ComplexTooLargeError(ValueError):
     """A complex on more than VERTEX_CAP vertices was asked for."""
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below PRIME_BOUND, the
+# least strong pseudoprime to all thirteen (psi_13, Sorenson and Webster).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
+    """Whether p is prime, decided exactly; a ValueError from PRIME_BOUND up."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # q witnesses that p is composite
     return True
 
 

@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from symbetti import BettiRecord, BettiSet, SymmetricIdeal, betti_set, minimal_generators
 from symbetti.betti import _ranks_at, family_terms
+from symbetti.cli import DEGREE_LIST_LIMIT
 from symbetti.homology import (
     VERTEX_CAP,
     ComplexTooLargeError,
@@ -31,7 +32,6 @@ from symbetti.ideals import (
     restrict_to_n,
 )
 from symbetti.stability import (
-    DEGREE_LIST_LIMIT,
     CompactDegree,
     SegmentSet,
     pad_record,

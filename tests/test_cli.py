@@ -19,30 +19,31 @@ from symbetti import (
     SegmentSet,
     IdealFileError,
     betti_set,
-    betti_set_payload,
     candidate_degrees,
     compose_betti,
     graded_table,
     parse_ideal_file,
     parse_ideal_text,
     restrict_to_n,
-    segment_set_payload,
     segments,
 )
 from symbetti.betti import profile_boxes
 from symbetti.cli import (
+    DEGREE_LIST_LIMIT,
     EXIT_CAP,
     EXIT_INPUT,
     EXIT_OK,
     EXIT_PIPE,
     EXIT_VERIFY,
     COMMANDS,
+    betti_set_payload,
     format_json,
     main,
     parse_args,
+    record_payload,
     render_graded_table,
+    segment_set_payload,
 )
-from symbetti.stability import DEGREE_LIST_LIMIT, record_payload
 
 from conftest import (
     betti_set_from_payload,
@@ -549,6 +550,19 @@ class TestCommands:
         assert code == EXIT_INPUT
         assert out == ""
         assert "error[invalid-input]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [2 ** 61 - 1, 3317044064679887385961981])
+    def test_large_characteristic(self, tmp_path, capsys, p):
+        # 2**61 - 1 is prime; psi_13 is past the bound up to which primality is decided
+        accepted = p == 2 ** 61 - 1
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]], "characteristic": p})
+        code, out = run(["asymptotics", "--ideal", path])
+        assert code == (EXIT_OK if accepted else EXIT_INPUT)
+        assert ("error[bad-characteristic]" in capsys.readouterr().err) != accepted
+        path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
+        code, out = run(["asymptotics", "--ideal", path, "--characteristic", str(p)])
+        assert code == (EXIT_OK if accepted else EXIT_INPUT)
+        assert ("error[invalid-input]" in capsys.readouterr().err) != accepted
 
     def test_size_cap_exit(self, tmp_path, capsys):
         # verify's reference check builds K^a on all 15 support positions

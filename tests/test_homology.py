@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from symbetti import (
     strand_basis,
     upper_koszul_complex,
 )
+from symbetti.homology import PRIME_BOUND, is_prime, validate_characteristic
 from conftest import reference_taylor_basis
 
 # the six-vertex projective plane: antipodal quotient of the icosahedron
@@ -268,3 +270,50 @@ class TestVertexCap:
             SimplicialComplex(15, frozenset({0}))
         with pytest.raises(ComplexTooLargeError):
             upper_koszul_complex([Partition((1,) * 15)], (1,) * 15)
+
+
+def trial_division_is_prime(p: int) -> bool:
+    """Reference for `is_prime`: odd trial divisors up to the square root."""
+    if p < 4:
+        return p >= 2
+    if p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class TestPrimality:
+    def test_large_prime_is_accepted_quickly(self):
+        start = time.perf_counter()
+        assert validate_characteristic(2 ** 61 - 1) == 2 ** 61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    # a Carmichael number, then the least strong pseudoprimes to base 2, to
+    # the bases 2..7 and to the bases 2..37: the last is caught by 41 alone
+    @pytest.mark.parametrize("p", [561, 2047, 3215031751, 318665857834031151167461])
+    def test_pseudoprimes_are_refused(self, p):
+        assert not is_prime(p)
+        with pytest.raises(ValueError, match="0 or a prime"):
+            validate_characteristic(p)
+
+    def test_refused_from_the_bound_on(self):
+        # the bound is composite, and a strong pseudoprime to all thirteen bases
+        assert PRIME_BOUND == 3317044064679887385961981
+        for p in (PRIME_BOUND, PRIME_BOUND + 2, 2 ** 127 - 1):
+            with pytest.raises(ValueError, match="below"):
+                validate_characteristic(p)
+            with pytest.raises(ValueError, match="below"):
+                is_prime(p)
+
+    def test_matches_trial_division(self):
+        assert [p for p in range(-5, 10 ** 5 + 1)
+                if is_prime(p) != trial_division_is_prime(p)] == []
+
+    @given(st.integers(10 ** 5, PRIME_BOUND - 1))
+    def test_matches_sympy_below_the_bound(self, p):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(p) == sympy.isprime(p)

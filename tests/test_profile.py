@@ -438,3 +438,19 @@ def test_walk_ranking_mutants_differ_from_reference(ideal_rp2, monkeypatch):
             mp.setattr(betti_module, name, mutant)
             assert betti_set(ideal_rp2, 9) != expected, name
     assert betti_set(ideal_rp2, 9) == expected
+
+
+@pytest.mark.parametrize("characteristic", [0, 2])
+def test_a_huge_generator_part_matches_the_reference(characteristic):
+    """A generator part of 10**15: the box rule counts parts at the block values only."""
+    ideal = SymmetricIdeal.from_parts([[10 ** 15, 1], [2, 2]], characteristic)
+    gens = restrict_to_n(ideal, 3)
+    candidates = candidate_degrees(ideal, 3)
+    ranks = {}
+    for r in betti_set(ideal, 3).records:
+        ranks.setdefault(r.degree, {})[r.i] = r.rank
+    assert ranks and set(ranks) <= set(candidates)
+    for a in candidates:
+        reference = bitmask_betti_dims(gens, characteristic, a)
+        assert betti_at_degree(ideal, a) == reference, a
+        assert ranks.get(a, {}) == reference, a

@@ -23,11 +23,11 @@ from symbetti import (
     segments,
 )
 from symbetti.betti import record_key
+from symbetti.cli import segment_set_payload
 from symbetti.stability import (
     SizeCapError,
     compact_record_key,
     lower_records,
-    segment_set_payload,
     shift_record,
 )
 from conftest import (
