@@ -18,6 +18,14 @@ five antichains written to a temporary directory: [[3]] (m = 1), [[2, 1]],
 --n 6`, `segments --format json`, `asymptotics`, `extrapolate --n m + 2` and
 `verify --max-n m + 2`;
 
+the benchmark's own command lines, verbatim: the three `fixtures` lines
+(`betti --n 11 --parallel 1` on tree4, `betti --n 9 --parallel 1` on rp2,
+`verify --max-n 5` on rp2) and `betti --n 11 --parallel 2 --format json` on
+the two antichains in characteristics 2 and 3;
+
+the zero ideal through `betti`, `segments`, `asymptotics`, `extrapolate` and
+`verify`;
+
 plus error cases (unknown command, missing file, bad partition, --n 0,
 a choice outside the list, the size cap).
 
@@ -78,6 +86,23 @@ def command_lines(scratch: str) -> list[list[str]]:
             ["extrapolate", *ideal, "--n", top],
             ["verify", *ideal, "--max-n", top],
         ]
+        if characteristic:  # as the benchmark runs its seed-drawn ideals over F_2 and F_3
+            lines.append(["betti", *ideal, "--n", "11", "--parallel", "2", "--format", "json"])
+    lines += [
+        ["betti", "--ideal", "ideals/tree4.json", "--n", "11", "--parallel", "1"],
+        ["betti", "--ideal", "ideals/rp2.json", "--n", "9", "--parallel", "1"],
+        ["verify", "--ideal", "ideals/rp2.json", "--max-n", "5"],
+    ]
+    zero = os.path.join(scratch, "zero.json")
+    with open(zero, "w", encoding="utf-8") as fh:
+        fh.write('{"generators": []}')
+    lines += [
+        ["betti", "--ideal", zero, "--n", "3"],
+        ["segments", "--ideal", zero],
+        ["asymptotics", "--ideal", zero],
+        ["extrapolate", "--ideal", zero, "--n", "3"],
+        ["verify", "--ideal", zero, "--max-n", "3"],
+    ]
     bad = os.path.join(scratch, "bad.json")
     with open(bad, "w", encoding="utf-8") as fh:
         fh.write('{"generators": [[1, 2]]}')

@@ -31,6 +31,7 @@ from .ideals import (
     restrict_to_n,
 )
 from .stability import (
+    MATERIALIZE_LIMIT,
     AsymptoticProfile,
     CompactRecord,
     ConsistencyError,
@@ -244,11 +245,9 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
         "padded_records": [record_payload(pad_record(r, args.n), args.n)
                            for r in lower_records(bs_m)],
     }
-    try:
+    if total <= MATERIALIZE_LIMIT:  # beyond it the families describe the records
         payload["records"] = [record_payload(r, args.n)
                               for r in compose_betti(ideal, args.n, bs_m)]
-    except SizeCapError:
-        pass  # too many to list: the families describe them
     if report.notes:
         print("warning: carried ranks are not stable; emitting positions only",
               file=sys.stderr)
@@ -277,7 +276,7 @@ def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
 
 
 def _cmd_asymptotics(ideal: SymmetricIdeal, args, out) -> int:
-    profile = asymptotics(ideal, seg=segments(ideal))
+    profile = asymptotics(ideal)
     if args.format == "json":
         _print_json({"asymptotics": asymptotics_payload(profile)}, out)
         return EXIT_OK
@@ -357,7 +356,7 @@ def _cmd_verify(ideal: SymmetricIdeal, args, out) -> int:
     for n in range(1, min(top - 1, m + 2) + 1):
         if bs(n).is_empty:
             continue
-        lift = check_positive_lift(ideal, n, bs(n), bs(n + 1))
+        lift = check_positive_lift(bs(n), bs(n + 1))
         report(f"positive-degree lift at level {n}", lift.passed, lift.counterexamples)
 
     for n in range(m, min(top, m + 2) + 1):

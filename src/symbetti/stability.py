@@ -27,6 +27,7 @@ positions are a theorem, ranks are checked (`check_stable_composition`).
 
 from __future__ import annotations
 
+import operator
 from itertools import groupby
 
 from .betti import BettiRecord, BettiSet, betti_set, record_key
@@ -81,9 +82,9 @@ class CompactDegree(FrozenValue, order=True):
         while count and prefix and prefix[-1] == rep:
             prefix = prefix[:-1]
             count += 1
-        if any(e < 1 for e in prefix):
+        if prefix and min(prefix) < 1:
             raise ValueError(f"prefix entries must be positive: {prefix}")
-        if any(prefix[k] < prefix[k + 1] for k in range(len(prefix) - 1)):
+        if any(map(operator.lt, prefix, prefix[1:])):
             raise ValueError(f"prefix must be weakly decreasing: {prefix}")
         if count and prefix and prefix[-1] < rep:
             raise ValueError("repeated value exceeds the last prefix entry")
@@ -147,31 +148,25 @@ def compact_record_key(record: CompactRecord) -> tuple:
     return record.i, d.prefix, d.repeated_value, d.repeat_count, d.zero_count, record.rank
 
 
-class SegmentSet:
+class SegmentSet(FrozenValue):
     """Base cells and segment starts (i, j, c) of the stable graded tables.
 
     See the module docstring; `rank_sums` keeps the total rank behind each
-    collapsed start (a fresh empty dict when not given).
+    collapsed start, and its keys are the starts.
     """
 
-    __slots__ = ("base", "starts", "m", "rank_sums")
+    __slots__ = ("base", "m", "rank_sums")
+    __hash__ = None  # rank_sums is a dict
 
-    def __init__(self, base: frozenset[tuple[int, int]], starts: frozenset[tuple[int, int, int]],
-                 m: int, rank_sums: dict[tuple[int, int, int], int] | None = None):
-        self.base = base
-        self.starts = starts
-        self.m = m
-        self.rank_sums = {} if rank_sums is None else rank_sums
+    def __init__(self, base: frozenset[tuple[int, int]], m: int,
+                 rank_sums: dict[tuple[int, int, int], int]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rank_sums", rank_sums)
 
-    # mutable, so unhashable; the repr is the one the frozen classes share
-    __repr__ = FrozenValue.__repr__
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.base, self.starts, self.m, self.rank_sums)
-                    == (other.base, other.starts, other.m, other.rank_sums))
-        return NotImplemented
+    @property
+    def starts(self) -> frozenset[tuple[int, int, int]]:
+        return frozenset(self.rank_sums)
 
     def graded_positions(self, n: int) -> set[tuple[int, int]]:
         if n < self.m:
@@ -202,24 +197,30 @@ class AsymptoticProfile(FrozenValue):
     """Closed forms for projective dimension and regularity of the family.
 
     pd(level n) = n - pd_offset for n >= stabilization_level, and
-    reg(level n) = reg_slope * n + reg_intercept for n >= threshold.  The
-    Cohen-Macaulay flag is level independent.
+    reg(level n) = reg_slope * n + reg_intercept for n >= threshold, with
+    reg_slope = min_first_part - 1.  The family is Cohen-Macaulay, at every
+    level alike, when pd_offset is the smallest generator length.
     """
 
-    __slots__ = ("pd_offset", "reg_slope", "reg_intercept", "threshold", "cohen_macaulay",
-                 "min_first_part", "min_length", "stabilization_level")
+    __slots__ = ("pd_offset", "reg_intercept", "threshold", "min_first_part", "min_length",
+                 "stabilization_level")
 
-    def __init__(self, pd_offset: int, reg_slope: int, reg_intercept: int, threshold: int,
-                 cohen_macaulay: bool, min_first_part: int, min_length: int,
-                 stabilization_level: int):
+    def __init__(self, pd_offset: int, reg_intercept: int, threshold: int, min_first_part: int,
+                 min_length: int, stabilization_level: int):
         object.__setattr__(self, "pd_offset", pd_offset)
-        object.__setattr__(self, "reg_slope", reg_slope)
         object.__setattr__(self, "reg_intercept", reg_intercept)
         object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "cohen_macaulay", cohen_macaulay)
         object.__setattr__(self, "min_first_part", min_first_part)
         object.__setattr__(self, "min_length", min_length)
         object.__setattr__(self, "stabilization_level", stabilization_level)
+
+    @property
+    def reg_slope(self) -> int:
+        return self.min_first_part - 1
+
+    @property
+    def cohen_macaulay(self) -> bool:
+        return self.pd_offset == self.min_length
 
     def pd_at(self, n: int) -> int:
         return n - self.pd_offset
@@ -280,7 +281,8 @@ def lower_records(bs_m: BettiSet) -> list[BettiRecord]:
 
 def record_count(bs_m: BettiSet, n: int) -> int:
     """How many records compose_betti assembles at level n, read off the level-m table."""
-    return (n - bs_m.n + 1) * len(bs_m.F()) + len(lower_records(bs_m))
+    # the records outside F are the lower records; each record of F stands for n - m + 1
+    return len(bs_m.records) + (n - bs_m.n) * len(bs_m.F())
 
 
 def compose_betti(ideal: SymmetricIdeal, n: int, bs_m: BettiSet) -> tuple[CompactRecord, ...]:
@@ -321,7 +323,7 @@ def segments(ideal: SymmetricIdeal, bs_m: BettiSet | None = None) -> SegmentSet:
     for r in bs_m.F():
         triple = (r.i, sum(r.degree) - r.i, r.degree[-1] - 1)
         sums[triple] = sums.get(triple, 0) + r.rank
-    return SegmentSet(base, frozenset(sums), m, sums)
+    return SegmentSet(base, m, sums)
 
 
 def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> AsymptoticProfile:
@@ -330,10 +332,8 @@ def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> Asympto
         raise ZeroIdealError("the zero ideal has no asymptotic profile")
     m = ideal.max_length
     w = ideal.min_first_part
-    r = ideal.min_length
     if seg is None:
         seg = segments(ideal)
-    pd_at_m = seg.pd_value(m)
     slope = w - 1
     max_slope = max(c for (_, _, c) in seg.starts)
     if max_slope != slope:
@@ -352,36 +352,35 @@ def asymptotics(ideal: SymmetricIdeal, seg: SegmentSet | None = None) -> Asympto
             + [-((intercept + c * m - j) // (slope - c)) for (_, j, c) in seg.starts if c < slope]
         )
     return AsymptoticProfile(
-        pd_offset=m - pd_at_m,
-        reg_slope=slope,
+        pd_offset=m - seg.pd_value(m),
         reg_intercept=intercept,
         threshold=threshold,
-        cohen_macaulay=(pd_at_m == m - r),
         min_first_part=w,
-        min_length=r,
+        min_length=ideal.min_length,
         stabilization_level=m,
     )
 
 
 class CheckReport(FrozenValue):
-    """Outcome of one verification pass, with counterexamples when it failed."""
+    """Outcome of one verification pass: it passed when it found no counterexample."""
 
-    __slots__ = ("passed", "counterexamples", "notes")
+    __slots__ = ("counterexamples", "notes")
 
-    def __init__(self, passed: bool, counterexamples: tuple[str, ...] = (),
-                 notes: tuple[str, ...] = ()):
-        object.__setattr__(self, "passed", passed)
+    def __init__(self, counterexamples: tuple[str, ...] = (), notes: tuple[str, ...] = ()):
         object.__setattr__(self, "counterexamples", counterexamples)
         object.__setattr__(self, "notes", notes)
+
+    @property
+    def passed(self) -> bool:
+        return not self.counterexamples
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def check_shift_equivalence(ideal: SymmetricIdeal, n: int,
-                            bs_n: BettiSet | None = None,
-                            bs_next: BettiSet | None = None) -> CheckReport:
-    """Both directions of the one-step shift between consecutive levels.
+def check_shift_equivalence(ideal: SymmetricIdeal, n: int, bs_n: BettiSet,
+                            bs_next: BettiSet) -> CheckReport:
+    """Both directions of the one-step shift between the level-n and level-n + 1 tables.
 
     For n at or above the stabilization level, a record with an all-positive
     degree ending in a repeated smallest entry b is nonzero exactly when the
@@ -391,37 +390,26 @@ def check_shift_equivalence(ideal: SymmetricIdeal, n: int,
     m = ideal.max_length
     if n < m:
         raise ValueError(f"level {n} is below the stabilization level {m}")
-    if bs_n is None:
-        bs_n = betti_set(ideal, n)
-    if bs_next is None:
-        bs_next = betti_set(ideal, n + 1)
-    lifts = {}  # (i + 1, a with a_m repeated) -> (i, a)
-    for r in sorted(bs_n.F(), key=record_key):
-        lifted = shift_record(r, 1)
-        lifts[(lifted.i, lifted.degree.expand())] = (r.i, r.degree)
+    # (i + 1, a with a_m repeated) -> (i, a)
+    lifts = {(r.i + 1, r.degree + r.degree[-1:]): (r.i, r.degree)
+             for r in sorted(bs_n.F(), key=record_key)}
     f_next = {(r.i, r.degree) for r in bs_next.F()}
     bad = [f"missing lift: {source} should give {target} one level up"
            for target, source in lifts.items() if target not in f_next]
     for (i, a) in sorted(f_next):
         if len(a) >= 2 and a[-1] == a[-2] and (i, a) not in lifts:
             bad.append(f"spurious record {(i, a)}: no source {(i - 1, a[:-1])} one level down")
-    return CheckReport(not bad, tuple(bad))
+    return CheckReport(tuple(bad))
 
 
-def check_positive_lift(ideal: SymmetricIdeal, n: int,
-                        bs_n: BettiSet | None = None,
-                        bs_next: BettiSet | None = None) -> CheckReport:
-    """Every all-positive record lifts one level up with some entry 1..min appended."""
-    if bs_n is None:
-        bs_n = betti_set(ideal, n)
-    if bs_next is None:
-        bs_next = betti_set(ideal, n + 1)
+def check_positive_lift(bs_n: BettiSet, bs_next: BettiSet) -> CheckReport:
+    """Every all-positive record of bs_n lifts to bs_next with some entry 1..min appended."""
     f_next = {(r.i, r.degree) for r in bs_next.F()}
     bad = []
     for (i, a) in sorted((r.i, r.degree) for r in bs_n.F()):
         if not any((i + 1, a + (k,)) in f_next for k in range(1, a[-1] + 1)):
             bad.append(f"record {(i, a)} has no lift with appended entry 1..{a[-1]}")
-    return CheckReport(not bad, tuple(bad))
+    return CheckReport(tuple(bad))
 
 
 def check_stable_composition(ideal: SymmetricIdeal, n: int, bs_m: BettiSet,
@@ -439,7 +427,7 @@ def check_stable_composition(ideal: SymmetricIdeal, n: int, bs_m: BettiSet,
            for key in sorted(composed.keys() ^ ref.keys())]
     notes = [f"level {n}: rank at {key} is {ref[key]} directly, {composed[key]} carried"
              for key in sorted(composed.keys() & ref.keys()) if composed[key] != ref[key]]
-    return CheckReport(not bad, tuple(bad), tuple(notes))
+    return CheckReport(tuple(bad), tuple(notes))
 
 
 def rank_stability_report(ideal: SymmetricIdeal, bs_m: BettiSet) -> CheckReport:

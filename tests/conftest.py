@@ -6,7 +6,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
@@ -273,7 +273,7 @@ def reference_segments(ideal, f_levels):
     for r in f_levels[m].F():
         triple = (r.i, sum(r.degree) - r.i, r.degree[-1] - 1)
         sums[triple] = sums.get(triple, 0) + r.rank
-    return SegmentSet(base, frozenset(sums), m, sums)
+    return SegmentSet(base, m, sums)
 
 
 def reference_candidate_degrees(ideal, n):
@@ -348,13 +348,10 @@ def betti_set_from_payload(payload) -> BettiSet:
 
 
 def segment_set_from_payload(payload) -> SegmentSet:
-    sums = {tuple(entry[:3]): entry[3] for entry in payload.get("D_ranks", [])}
-    return SegmentSet(
-        frozenset(tuple(p) for p in payload["base"]),
-        frozenset(tuple(t) for t in payload["D"]),
-        payload["m"],
-        sums,
-    )
+    sums = {tuple(entry[:3]): entry[3] for entry in payload["D_ranks"]}
+    if sorted(sums) != [tuple(t) for t in payload["D"]]:
+        raise ValueError("D is not the list of the D_ranks starts")
+    return SegmentSet(frozenset(tuple(p) for p in payload["base"]), payload["m"], sums)
 
 
 def length_two_closed_form(ideal: SymmetricIdeal, n: int) -> frozenset[BettiRecord]:
@@ -893,18 +890,23 @@ class Reference:
         degree: CompactDegree
         rank: int
 
-    @dataclass
+    @dataclass(frozen=True)
     class SegmentSet:
         """Base cells and segment starts (i, j, c) of the stable graded tables.
 
         See the module docstring; `rank_sums` keeps the total rank behind each
-        collapsed start.
+        collapsed start, and its keys are the starts.
         """
 
         base: frozenset[tuple[int, int]]
-        starts: frozenset[tuple[int, int, int]]
         m: int
-        rank_sums: dict[tuple[int, int, int], int] = field(default_factory=dict)
+        rank_sums: dict[tuple[int, int, int], int]
+
+        __hash__ = None  # rank_sums is a dict
+
+        @property
+        def starts(self) -> frozenset[tuple[int, int, int]]:
+            return frozenset(self.rank_sums)
 
         def graded_positions(self, n: int) -> set[tuple[int, int]]:
             if n < self.m:
@@ -935,18 +937,25 @@ class Reference:
         """Closed forms for projective dimension and regularity of the family.
 
         pd(level n) = n - pd_offset for n >= stabilization_level, and
-        reg(level n) = reg_slope * n + reg_intercept for n >= threshold.  The
-        Cohen-Macaulay flag is level independent.
+        reg(level n) = reg_slope * n + reg_intercept for n >= threshold, with
+        reg_slope = min_first_part - 1.  The family is Cohen-Macaulay, at every
+        level alike, when pd_offset is the smallest generator length.
         """
 
         pd_offset: int
-        reg_slope: int
         reg_intercept: int
         threshold: int
-        cohen_macaulay: bool
         min_first_part: int
         min_length: int
         stabilization_level: int
+
+        @property
+        def reg_slope(self) -> int:
+            return self.min_first_part - 1
+
+        @property
+        def cohen_macaulay(self) -> bool:
+            return self.pd_offset == self.min_length
 
         def pd_at(self, n: int) -> int:
             return n - self.pd_offset
@@ -956,11 +965,14 @@ class Reference:
 
     @dataclass(frozen=True)
     class CheckReport:
-        """Outcome of one verification pass, with counterexamples when it failed."""
+        """Outcome of one verification pass: it passed when it found no counterexample."""
 
-        passed: bool
         counterexamples: tuple[str, ...] = ()
         notes: tuple[str, ...] = ()
+
+        @property
+        def passed(self) -> bool:
+            return not self.counterexamples
 
         def __bool__(self) -> bool:
             return self.passed

@@ -184,7 +184,7 @@ def test_criterion_07_shift_and_lift(
             shift = check_shift_equivalence(ideal, n, bs(ideal, n), bs(ideal, n + 1))
             assert shift.passed, (ideal.generators, n, shift.counterexamples)
             if not bs(ideal, n).is_empty:
-                lift = check_positive_lift(ideal, n, bs(ideal, n), bs(ideal, n + 1))
+                lift = check_positive_lift(bs(ideal, n), bs(ideal, n + 1))
                 assert lift.passed, (ideal.generators, n, lift.counterexamples)
             checked += 1
     print(f"PASS criterion 7: one-step shift equivalence and positive lifts "

@@ -583,6 +583,13 @@ class TestCommands:
         code, _ = run(["asymptotics", "--ideal", path, "--parallel", "1"])
         assert code == EXIT_INPUT
 
+    def test_zero_ideal_asymptotics_names_the_profile(self, tmp_path, capsys):
+        path = write_ideal(tmp_path, {"generators": []})
+        code, out = run(["asymptotics", "--ideal", path])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            "error[invalid-input]: the zero ideal has no asymptotic profile\n")
+
     def test_verify_failure_exit_code(self, tmp_path, monkeypatch):
         # simulate a broken reference route so the suite reports a failure
         import symbetti.cli as cli
@@ -690,7 +697,7 @@ class TestCommands:
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
         monkeypatch.setattr(cli, "rank_stability_report", lambda *a, **k: CheckReport(
-            False, ("level 3: position (0, (5, 1, 0)) only on the composed side",)))
+            ("level 3: position (0, (5, 1, 0)) only on the composed side",)))
         code, out = run(["extrapolate", "--ideal", path, "--n", "5", "--parallel", "1"])
         assert code == EXIT_VERIFY
         assert out == ""
@@ -716,11 +723,11 @@ class TestCommands:
                                  " only on the direct side")
 
     def test_asymptotics_slope_mismatch_exit_code(self, tmp_path, monkeypatch, capsys):
-        import symbetti.cli as cli
+        import symbetti.stability as stability
 
         path = write_ideal(tmp_path, {"generators": [[5, 1], [2, 2]]})
-        monkeypatch.setattr(cli, "segments", lambda ideal: SegmentSet(
-            frozenset(), frozenset({(0, 4, 3)}), 2, {(0, 4, 3): 1}))
+        monkeypatch.setattr(stability, "segments", lambda ideal: SegmentSet(
+            frozenset(), 2, {(0, 4, 3): 1}))
         code, out = run(["asymptotics", "--ideal", path, "--parallel", "1"])
         assert code == EXIT_VERIFY
         assert out == ""

@@ -28,6 +28,7 @@ from symbetti.stability import (
     SizeCapError,
     compact_record_key,
     lower_records,
+    record_count,
     shift_record,
 )
 from conftest import (
@@ -129,6 +130,12 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose_betti(ideal_j, 4, bs(ideal_j, 3))
 
+    def test_record_count_matches_compose(self, ideal_j, ideal_tree, ideal_perm, ideal_rp2, bs):
+        for ideal in (ideal_j, ideal_tree, ideal_perm, ideal_rp2):
+            m = ideal.max_length
+            for n in range(m, m + 4):
+                assert record_count(bs(ideal, m), n) == len(compose_betti(ideal, n, bs(ideal, m)))
+
     def test_size_cap(self, ideal_j, bs):
         with pytest.raises(SizeCapError):
             compose_betti(ideal_j, 10 ** 6,
@@ -186,6 +193,16 @@ class TestAsymptotics:
                 assert pd == prof.pd_at(n)
                 if n >= prof.threshold:
                     assert reg == prof.reg_at(n)
+
+    def test_derived_facts_match_direct_computations(self, ideal_j, ideal_tree, ideal_perm,
+                                                     ideal_rp2, shared_random_ideals, bs):
+        # cohen_macaulay against pd at level m, reg_slope against the segments' slopes
+        for ideal in [ideal_j, ideal_tree, ideal_perm, ideal_rp2] + shared_random_ideals:
+            m = ideal.max_length
+            seg = segments(ideal, bs(ideal, m))
+            prof = asymptotics(ideal, seg)
+            assert prof.cohen_macaulay is (pd_and_reg(bs(ideal, m))[0] == m - ideal.min_length)
+            assert prof.reg_slope == max(c for (_, _, c) in seg.starts)
 
     def test_slope_is_min_first_part_minus_one(self, shared_random_ideals, bs):
         for ideal in shared_random_ideals[:10]:
@@ -248,7 +265,7 @@ class TestClosedForms:
     def test_base_cell_above_the_line(self, ideal_j, bs):
         # no ideal tried needs the base term; a made-up base cell (0, 20) does
         seg = segments(ideal_j, bs(ideal_j, 2))
-        seg = SegmentSet(frozenset({(0, 20)}), seg.starts, seg.m, seg.rank_sums)
+        seg = SegmentSet(frozenset({(0, 20)}), seg.m, seg.rank_sums)
         assert assert_closed_forms(ideal_j, seg).threshold == 16
 
     @given(antichains)
@@ -293,11 +310,29 @@ class TestShiftChecks:
             m = ideal.max_length
             for n in range(m, m + 2):
                 assert check_shift_equivalence(ideal, n, bs(ideal, n), bs(ideal, n + 1))
-                assert check_positive_lift(ideal, n, bs(ideal, n), bs(ideal, n + 1))
+                assert check_positive_lift(bs(ideal, n), bs(ideal, n + 1))
 
-    def test_requires_stable_level(self, ideal_tree):
+    def test_checks_read_only_the_tables_passed(self, ideal_j, ideal_tree, ideal_perm,
+                                                ideal_rp2, bs, monkeypatch):
+        import symbetti.stability as stability
+
+        def refuse(*args):
+            raise AssertionError("a shift check computed a table itself")
+
+        fixtures = (ideal_j, ideal_tree, ideal_perm, ideal_rp2)
+        tables = {(ideal.name, n): bs(ideal, n) for ideal in fixtures
+                  for n in range(ideal.max_length, ideal.max_length + 3)}
+        monkeypatch.setattr(stability, "betti_set", refuse)
+        for ideal in fixtures:
+            m = ideal.max_length
+            for n in (m, m + 1):
+                bs_n, bs_next = tables[(ideal.name, n)], tables[(ideal.name, n + 1)]
+                assert check_shift_equivalence(ideal, n, bs_n, bs_next)
+                assert check_positive_lift(bs_n, bs_next)
+
+    def test_requires_stable_level(self, ideal_tree, bs):
         with pytest.raises(ValueError):
-            check_shift_equivalence(ideal_tree, 2)
+            check_shift_equivalence(ideal_tree, 2, bs(ideal_tree, 2), bs(ideal_tree, 3))
 
     def test_detects_a_broken_shift(self, ideal_j, bs):
         from symbetti import BettiSet
