@@ -5,7 +5,7 @@ Each command line runs as `python -m symbetti ...` from the repository root,
 once with PYTHONPATH set to each tree; its standard output, standard error
 and exit code must match byte for byte.  The lines cover the four fixtures:
 
-- `betti --format json` at n = 1..12 and 40, characteristics 0, 2 and 3;
+- `betti --format json` at n = 1..12, 40 and 100, characteristics 0, 2 and 3;
 - `betti` as a text table and with `--multigraded`, at n = 5 and 9;
 - `verify --max-n 1..6`;
 - `segments` and `asymptotics`, as text and as JSON;
@@ -57,7 +57,7 @@ def command_lines(scratch: str) -> list[list[str]]:
     lines = []
     for name in FIXTURES:
         ideal = ["--ideal", f"ideals/{name}.json"]
-        for n in [*range(1, 13), 40]:
+        for n in [*range(1, 13), 40, 100]:
             for p in ("0", "2", "3"):
                 lines.append(["betti", *ideal, "--n", str(n), "--format", "json",
                               "--characteristic", p])

@@ -33,7 +33,6 @@ from .ideals import (
 from .stability import (
     MATERIALIZE_LIMIT,
     AsymptoticProfile,
-    CompactRecord,
     ConsistencyError,
     SegmentSet,
     SizeCapError,
@@ -72,18 +71,52 @@ EXIT_PIPE = 141  # what a shell reports for a program stopped by SIGPIPE (128 + 
 DEGREE_LIST_LIMIT = 10_000
 
 
-def record_payload(record, n: int) -> dict:
-    """JSON entry of a `BettiRecord` (sorted tuple degree) or a `CompactRecord`."""
-    degree, compact = record.degree, isinstance(record, CompactRecord)
-    entry = {"i": record.i, "rank": record.rank,
-             "degree_rle": degree.runs() if compact else run_lengths(degree)}
-    if n <= DEGREE_LIST_LIMIT:
-        entry["degree"] = list(degree.expand() if compact else degree)
-    return entry
+class RecordRows:
+    """A record list in a payload, which `format_json` writes without a dict per record.
 
+    ``records`` are `BettiRecord`s or `CompactRecord`s at n variables.  Each
+    entry is the text of ``{"degree": [...], "degree_rle": [[value, count],
+    ...], "i": i, "rank": rank}``, joined straight from the runs of the
+    record's degree; ``"degree"`` is left out when n > DEGREE_LIST_LIMIT, and
+    ``"rank"`` when ``ranks`` is false.  ``subset(keep)``, the records at the
+    indices ``keep``, shares the entry texts, so a record in both is written once.
+    """
 
-def betti_set_payload(bs: BettiSet) -> dict:
-    return {"n": bs.n, "records": [record_payload(r, bs.n) for r in bs.sorted_records()]}
+    __slots__ = ("records", "n", "ranks", "keep", "texts")
+
+    def __init__(self, records, n: int, ranks: bool = True, keep=None, texts=None):
+        self.records, self.n, self.ranks, self.keep = records, n, ranks, keep
+        self.texts = {} if texts is None else texts  # entry indent -> entry texts
+
+    def subset(self, keep: list[int]) -> "RecordRows":
+        return RecordRows(self.records, self.n, self.ranks, keep, self.texts)
+
+    def format(self, indent: str) -> str:
+        inner = indent + "  "
+        if inner not in self.texts:
+            self.texts[inner] = self.entries(inner)
+        texts = self.texts[inner] if self.keep is None else [self.texts[inner][k] for k in self.keep]
+        return f"[{inner}{(',' + inner).join(texts)}{indent}]" if texts else "[]"
+
+    def entries(self, indent: str) -> list[str]:
+        """Each record's entry, its closing brace after ``indent``."""
+        inner, item = indent + "  ", indent + "    "
+        sep, pair = "," + item, "[" + item + "  %d," + item + "  %d" + item + "]"
+        listed = self.n <= DEGREE_LIST_LIMIT
+        fields = ['"degree": [' + item + "{0}" + inner + "]"] if listed else []
+        fields += ['"degree_rle": [' + item + "{1}" + inner + "]", '"i": {2}']
+        fields += ['"rank": {3}'] if self.ranks else []
+        template = "{{" + inner + ("," + inner).join(fields) + indent + "}}"
+        texts = []
+        for record in self.records:
+            degree = record.degree
+            runs = run_lengths(degree) if type(degree) is tuple else degree.runs()
+            values = "".join([(str(v) + sep) * c for v, c in runs])[:-len(sep)] if listed else ""
+            text = template.format(values, sep.join([pair % (v, c) for v, c in runs]),
+                                   record.i, record.rank)
+            # only a degree of no variables has no runs: its arrays are empty
+            texts.append(text if runs else text.replace("[" + item + inner + "]", "[]"))
+        return texts
 
 
 def segment_set_payload(seg: SegmentSet) -> dict:
@@ -93,10 +126,6 @@ def segment_set_payload(seg: SegmentSet) -> dict:
         "D_ranks": [[*t, seg.rank_sums[t]] for t in sorted(seg.rank_sums)],
         "m": seg.m,
     }
-
-
-def table_payload(table: dict[tuple[int, int], int]) -> list[dict]:
-    return [{"i": i, "j": j, "beta": table[(i, j)]} for (i, j) in sorted(table)]
 
 
 def _linear_form(slope: int, intercept: int, var: str = "n") -> str:
@@ -155,13 +184,15 @@ def format_json(value, indent: str = "\n") -> str:
     strings come from the C ``encode_basestring_ascii``, and a list of plain
     ints is one join (bool is excluded by the exact type test: its JSON is
     ``true``/``false``).  Takes what the commands emit: dict with str keys,
-    list, tuple, str, int, bool and None, by exact type; any other value,
-    float and subclasses included, raises TypeError.  ``indent`` is the
-    newline and indentation that precede the value's closing bracket.
+    list, tuple, str, int, bool, None and `RecordRows`, by exact type; any
+    other value, float and subclasses included, raises TypeError.  ``indent``
+    is the newline and indentation that precede the value's closing bracket.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
+    if kind is RecordRows:
+        return value.format(indent)
     inner = indent + "  "
     if kind is list or kind is tuple:
         if not value:
@@ -170,7 +201,7 @@ def format_json(value, indent: str = "\n") -> str:
             body = ("," + inner).join(map(int.__repr__, value))
         else:
             body = ("," + inner).join([format_json(v, inner) for v in value])
-        return "[" + inner + body + indent + "]"
+        return f"[{inner}{body}{indent}]"
     if kind is dict:
         if not value:
             return "{}"
@@ -180,7 +211,7 @@ def format_json(value, indent: str = "\n") -> str:
             encode_basestring_ascii(k) + ": "
             + (int.__repr__(v) if type(v) is int else format_json(v, inner))
             for k, v in sorted(value.items())])
-        return "{" + inner + body + indent + "}"
+        return f"{{{inner}{body}{indent}}}"
     if kind is str:
         return encode_basestring_ascii(value)
     if value is None:
@@ -192,20 +223,16 @@ def format_json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _print_json(payload, out):
-    print(format_json(payload), file=out)
-
-
 def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
     bs = betti_set(ideal, args.n)
     table = graded_table(bs)
     if args.multigraded or args.format == "json":
-        payload = betti_set_payload(bs)
-        payload["table"] = table_payload(table)
-        # the records positive in every coordinate, already built and sorted
-        payload["full_support"] = [entry for entry in payload["records"]
-                                   if entry["degree_rle"] and entry["degree_rle"][-1][0] >= 1]
-        _print_json(payload, out)
+        records = bs.sorted_records()
+        rows = RecordRows(records, bs.n)
+        full = [k for k, r in enumerate(records) if r.degree[-1] >= 1]  # positive everywhere
+        cells = [{"i": i, "j": j, "beta": table[(i, j)]} for (i, j) in sorted(table)]
+        print(format_json({"n": bs.n, "records": rows, "table": cells,
+                           "full_support": rows.subset(full)}), file=out)
         return EXIT_OK
     print(render_graded_table(table), file=out)
     if not bs.is_empty:
@@ -215,6 +242,8 @@ def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
 
 
 def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
+    if ideal.is_zero:
+        raise ZeroIdealError("the zero ideal has no stable family to extrapolate")
     m = ideal.max_length
     if args.n < m:
         raise ValueError(f"--n must be at least the stabilization level {m}")
@@ -225,46 +254,36 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
                                report.counterexamples)
     top_records = sorted(bs_m.F(), key=record_key)
     total = record_count(bs_m, args.n)
+    ranks = not report.notes  # unstable carried ranks: emit positions only
     payload = {
         "n": args.n,
         "m": m,
         "record_count": total,
-        "f_records": [record_payload(r, args.n)
-                      for r in extrapolate_full_support(top_records, args.n, m)],
+        "f_records": RecordRows(extrapolate_full_support(top_records, args.n, m), args.n, ranks),
         "families": [
-            {
-                "i_start": r.i,
-                "prefix": list(r.degree[:-1]),
-                "repeated_value": r.degree[-1],
-                "repeat_min": 1,
-                "repeat_max": 1 + args.n - m,
-                "rank": r.rank,
-            }
+            {"i_start": r.i, "prefix": list(r.degree[:-1]), "repeated_value": r.degree[-1],
+             "repeat_min": 1, "repeat_max": 1 + args.n - m, **({"rank": r.rank} if ranks else {})}
             for r in top_records
         ],
-        "padded_records": [record_payload(pad_record(r, args.n), args.n)
-                           for r in lower_records(bs_m)],
+        "padded_records": RecordRows([pad_record(r, args.n) for r in lower_records(bs_m)],
+                                     args.n, ranks),
     }
     if total <= MATERIALIZE_LIMIT:  # beyond it the families describe the records
-        payload["records"] = [record_payload(r, args.n)
-                              for r in compose_betti(ideal, args.n, bs_m)]
-    if report.notes:
+        payload["records"] = RecordRows(compose_betti(ideal, args.n, bs_m), args.n, ranks)
+    if not ranks:
         print("warning: carried ranks are not stable; emitting positions only",
               file=sys.stderr)
         for note in report.notes:
             print(f"warning: {note}", file=sys.stderr)
-        for key in ("records", "f_records", "padded_records", "families"):
-            for entry in payload.get(key, []):
-                entry.pop("rank", None)
         payload["rank_warnings"] = list(report.notes)
-    _print_json(payload, out)
+    print(format_json(payload), file=out)
     return EXIT_OK
 
 
 def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
     seg = segments(ideal)
     if args.format == "json":
-        _print_json({"segments": segment_set_payload(seg)}, out)
+        print(format_json({"segments": segment_set_payload(seg)}), file=out)
         return EXIT_OK
     print(f"m = {seg.m}", file=out)
     print("base positions (level m-1 table): "
@@ -278,7 +297,7 @@ def _cmd_segments(ideal: SymmetricIdeal, args, out) -> int:
 def _cmd_asymptotics(ideal: SymmetricIdeal, args, out) -> int:
     profile = asymptotics(ideal)
     if args.format == "json":
-        _print_json({"asymptotics": asymptotics_payload(profile)}, out)
+        print(format_json({"asymptotics": asymptotics_payload(profile)}), file=out)
         return EXIT_OK
     pd_part = _linear_form(1, -profile.pd_offset)
     reg_part = _linear_form(profile.reg_slope, profile.reg_intercept)

@@ -230,8 +230,12 @@ def reference_json_text(value):
 
 
 def reference_record_payload(record, n):
-    """Reference for `record_payload` on a sorted tuple degree: the `CompactDegree` route."""
-    compact = CompactDegree.from_vector(record.degree)
+    """Reference for a record's JSON entry: the `CompactDegree` route on its expanded degree.
+
+    Takes a record with a sorted tuple degree or a `CompactRecord`.
+    """
+    degree = record.degree
+    compact = CompactDegree.from_vector(degree if type(degree) is tuple else degree.expand())
     entry = {"i": record.i, "rank": record.rank, "degree_rle": compact.runs()}
     if n <= DEGREE_LIST_LIMIT:
         entry["degree"] = list(compact.expand())

@@ -36,11 +36,10 @@ from symbetti.cli import (
     EXIT_PIPE,
     EXIT_VERIFY,
     COMMANDS,
-    betti_set_payload,
+    RecordRows,
     format_json,
     main,
     parse_args,
-    record_payload,
     render_graded_table,
     segment_set_payload,
 )
@@ -102,9 +101,10 @@ class TestParse:
 
 class TestRoundTrip:
     def test_betti_set_payload(self, ideal_j, bs):
-        original = bs(ideal_j, 3)
-        assert betti_set_from_payload(
-            json.loads(json.dumps(betti_set_payload(original)))) == original
+        # the command's own JSON text, parsed, gives back the record set
+        code, out = run(["betti", "--ideal", J_FILE, "--n", "3", "--format", "json"])
+        assert code == EXIT_OK
+        assert betti_set_from_payload(json.loads(out)) == bs(ideal_j, 3)
 
     def test_segment_set_payload(self, ideal_j, bs):
         seg = segments(ideal_j, bs(ideal_j, 2))
@@ -116,7 +116,7 @@ class TestRoundTrip:
         runs = CompactDegree.from_vector(degree).runs()
         assert runs == [[5, 1], [2, 3], [0, 2]]
         assert degree_from_runs(runs) == degree
-        entry = record_payload(BettiRecord(1, degree, 1), len(degree))
+        [entry] = json.loads(format_json(RecordRows([BettiRecord(1, degree, 1)], len(degree))))
         assert entry["degree_rle"] == runs and entry["degree"] == list(degree)
 
 
@@ -168,9 +168,70 @@ class TestRecordPayload:
     def test_matches_compact_degree_route(self, degree, i, rank):
         # a stand-in record: BettiRecord refuses the all-zero degrees
         record = SimpleNamespace(i=i, degree=degree, rank=rank)
-        entry = record_payload(record, len(degree))
+        [entry] = json.loads(format_json(RecordRows([record], len(degree))))
         assert entry == reference_record_payload(record, len(degree))
         assert ("degree" in entry) == (len(degree) <= DEGREE_LIST_LIMIT)
+
+
+def as_block(degree):
+    """The same vector as a `CompactDegree` whose repeated block is its last positive run."""
+    positive = [e for e in degree if e]
+    count = positive.count(positive[-1]) if positive else 0
+    return CompactDegree(tuple(positive[:len(positive) - count]), positive[-1] if positive else 0,
+                         count, len(degree) - len(positive))
+
+
+# stand-in records with a sorted tuple degree or a CompactDegree in block form
+STAND_INS = st.lists(st.builds(
+    lambda degree, compact, i, rank: SimpleNamespace(
+        i=i, degree=as_block(degree) if compact else degree, rank=rank),
+    SORTED_DEGREES, st.booleans(), st.integers(0, 5), st.integers(1, 10 ** 30)), max_size=4)
+LIST_LIMITS = st.sampled_from([1, DEGREE_LIST_LIMIT, DEGREE_LIST_LIMIT + 1])
+
+
+def reference_rows(records, n, ranks=True):
+    """What `RecordRows(records, n, ranks)` stands for: the dicts the writer no longer builds."""
+    entries = [reference_record_payload(r, n) for r in records]
+    if not ranks:
+        for entry in entries:
+            entry.pop("rank")
+    return entries
+
+
+class TestRecordWriter:
+    @given(STAND_INS, LIST_LIMITS, st.booleans())
+    @example([], 1, True)
+    @example([SimpleNamespace(i=0, degree=(), rank=1)], 1, False)
+    @example([SimpleNamespace(i=2, degree=(3,) * DEGREE_LIST_LIMIT, rank=1)], DEGREE_LIST_LIMIT, True)
+    @example([SimpleNamespace(i=2, degree=(3,) * DEGREE_LIST_LIMIT + (0,), rank=1)],
+             DEGREE_LIST_LIMIT + 1, True)
+    def test_matches_the_dict_route(self, records, n, ranks):
+        assert (format_json(RecordRows(records, n, ranks))
+                == reference_json_text(reference_rows(records, n, ranks)))
+
+    @given(STAND_INS, LIST_LIMITS, st.data())
+    def test_subset_shares_entries_at_any_depth(self, records, n, data):
+        keep = sorted(data.draw(st.sets(st.integers(0, len(records) - 1))) if records else ())
+        entries = reference_rows(records, n)
+        expected = [entries[k] for k in keep]
+        rows = RecordRows(records, n)
+        # the subset is written before its list, then after it, then nested
+        assert format_json({"full_support": rows.subset(keep), "records": rows}) == \
+            reference_json_text({"full_support": expected, "records": entries})
+        assert format_json({"a": rows, "b": rows.subset(keep)}) == \
+            reference_json_text({"a": entries, "b": expected})
+        assert format_json([{"x": [rows, rows.subset(keep)]}]) == \
+            reference_json_text([{"x": [entries, expected]}])
+
+    @pytest.mark.parametrize("fixture", ["ideal_j", "ideal_tree", "ideal_perm", "ideal_rp2"])
+    def test_composed_records(self, fixture, request, bs):
+        ideal = request.getfixturevalue(fixture)
+        m = ideal.max_length
+        for n in (m, m + 1, m + 3):
+            records = list(compose_betti(ideal, n, bs(ideal, m)))
+            for ranks in (True, False):
+                assert (format_json(RecordRows(records, n, ranks))
+                        == reference_json_text(reference_rows(records, n, ranks)))
 
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "ideals"
@@ -583,6 +644,13 @@ class TestCommands:
         code, _ = run(["asymptotics", "--ideal", path, "--parallel", "1"])
         assert code == EXIT_INPUT
 
+    def test_zero_ideal_extrapolate_names_the_family(self, tmp_path, capsys):
+        path = write_ideal(tmp_path, {"generators": []})
+        code, out = run(["extrapolate", "--ideal", path, "--n", "3"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert capsys.readouterr().err == (
+            "error[invalid-input]: the zero ideal has no stable family to extrapolate\n")
+
     def test_zero_ideal_asymptotics_names_the_profile(self, tmp_path, capsys):
         path = write_ideal(tmp_path, {"generators": []})
         code, out = run(["asymptotics", "--ideal", path])
@@ -755,7 +823,7 @@ def test_extrapolate_views_agree(fixture, bs):
         payload = json.loads(out)
         records = payload["records"]
         assert len(records) == payload["record_count"]
-        composed = [record_payload(r, n) for r in compose_betti(ideal, n, bs(ideal, m))]
+        composed = [reference_record_payload(r, n) for r in compose_betti(ideal, n, bs(ideal, m))]
         if "rank_warnings" in payload:
             for entry in composed:
                 entry.pop("rank")
