@@ -79,6 +79,7 @@ from .ideals import (
     contains_monomial,
     dominates,
     restrict_to_n,
+    run_lengths,
 )
 # not called here, but perfbench/tracer.py wraps symbetti.betti.candidate_degrees
 # and symbetti.betti.orbit_size
@@ -231,7 +232,7 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     docstring for the box rule.
     """
     a = sorted(a, reverse=True)
-    blocks = [(v, len(list(run))) for v, run in itertools.groupby(a) if v > 0]
+    blocks = [run for run in run_lengths(a) if run[0] > 0]
     return _boxes(blocks, [_ge_row(parts, set(a)) for parts in map(_as_parts, gens)
                            if dominates(a, parts)])
 

@@ -29,6 +29,7 @@ from .ideals import (
     candidate_degrees,
     parse_ideal_file,
     restrict_to_n,
+    run_lengths,
 )
 from .stability import (
     MATERIALIZE_LIMIT,
@@ -43,11 +44,10 @@ from .stability import (
     compose_betti,
     extrapolate_full_support,
     lower_records,
-    pad_record,
     rank_stability_report,
     record_count,
-    run_lengths,
     segments,
+    shift_record,
 )
 from .taylor import (
     GENERATOR_CAP,
@@ -259,14 +259,14 @@ def _cmd_extrapolate(ideal: SymmetricIdeal, args, out) -> int:
         "n": args.n,
         "m": m,
         "record_count": total,
-        "f_records": RecordRows(extrapolate_full_support(top_records, args.n, m), args.n, ranks),
+        "f_records": RecordRows(extrapolate_full_support(top_records, args.n), args.n, ranks),
         "families": [
             {"i_start": r.i, "prefix": list(r.degree[:-1]), "repeated_value": r.degree[-1],
              "repeat_min": 1, "repeat_max": 1 + args.n - m, **({"rank": r.rank} if ranks else {})}
             for r in top_records
         ],
-        "padded_records": RecordRows([pad_record(r, args.n) for r in lower_records(bs_m)],
-                                     args.n, ranks),
+        "padded_records": RecordRows(
+            [s for r in lower_records(bs_m) for s in shift_record(r, args.n)], args.n, ranks),
     }
     if total <= MATERIALIZE_LIMIT:  # beyond it the families describe the records
         payload["records"] = RecordRows(compose_betti(ideal, args.n, bs_m), args.n, ranks)

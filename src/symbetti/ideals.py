@@ -13,6 +13,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from itertools import groupby
 
 from .homology import FrozenValue, validate_characteristic
 
@@ -206,6 +207,11 @@ def contains_monomial(gens: Iterable, a: Sequence[int]) -> bool:
         if len(parts) <= n and all(map(operator.le, parts, s)):
             return True
     return False
+
+
+def run_lengths(entries) -> list[list[int]]:
+    """Maximal runs [[value, count], ...] of equal consecutive entries."""
+    return [[v, len(list(run))] for v, run in groupby(entries)]
 
 
 def orbit_size(a: Sequence[int], n: int | None = None) -> int:

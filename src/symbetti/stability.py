@@ -8,7 +8,7 @@ Let m be the largest generator length.  The stable shift sends a record
 Every record of level n >= m is such a shift with k <= n - m, or an
 all-positive record of a level t < m, which is a record of support t of the
 level-m table, zeros stripped (`lower_records`), padded to n variables.
-`shift_record` and `pad_record` build the two forms from the level-m table.
+`shift_record` builds both: the padding is the shift with k = 0.
 
 In the graded table a level-m record (i, a) starts the segment of cells
 (i + k, j + c k), 0 <= k <= n - m, with j = |a| - i and c = a_m - 1; the
@@ -27,14 +27,11 @@ positions are a theorem, ranks are checked (`check_stable_composition`).
 
 from __future__ import annotations
 
-import operator
-from itertools import groupby
-
 from .betti import BettiRecord, BettiSet, betti_set, record_key
 # not called here, but perfbench/tracer.py wraps symbetti.stability.pd_and_reg
 from .betti import pd_and_reg  # noqa: F401
 from .homology import FrozenValue
-from .ideals import SymmetricIdeal, ZeroIdealError
+from .ideals import SymmetricIdeal, ZeroIdealError, run_lengths
 
 
 class SizeCapError(ValueError):
@@ -49,86 +46,54 @@ class ConsistencyError(Exception):
         self.counterexamples = tuple(counterexamples)
 
 
-def run_lengths(entries) -> list[list[int]]:
-    """Maximal runs [[value, count], ...] of equal consecutive entries."""
-    return [[v, len(list(run))] for v, run in groupby(entries)]
-
-
 class CompactDegree(FrozenValue, order=True):
-    """A sorted exponent vector stored as prefix + repeated block + zeros.
+    """A sorted exponent vector stored as its runs, a tuple of (value, count) pairs.
 
-    Construction folds trailing prefix entries equal to the repeated value
-    into the repeat count, a repeated value of zero into the zero count, and
-    clears the repeated value of an empty block.  It never moves prefix
-    entries into an empty block, so one vector can have several forms:
-    `from_vector((3, 2, 2, 0))` keeps (3, 2, 2) as its prefix and differs from
-    `CompactDegree((3,), 2, 2, 1)`, although both expand to (3, 2, 2, 0).
-    Compare degrees built along different paths through `expand()`.
+    Values strictly decrease and are at least 0, and counts are at least 1,
+    so every vector has one form, and degrees of one length compare as their
+    vectors do.
     """
 
-    __slots__ = ("prefix", "repeated_value", "repeat_count", "zero_count")
+    __slots__ = ("pairs",)
 
-    def __init__(self, prefix: tuple[int, ...] = (), repeated_value: int = 0,
-                 repeat_count: int = 0, zero_count: int = 0):
-        prefix = tuple(prefix)
-        rep, count, zeros = repeated_value, repeat_count, zero_count
-        if count < 0 or zeros < 0 or rep < 0:
-            raise ValueError("counts and values must be nonnegative")
-        if count == 0:
-            rep = 0
-        if rep == 0 and count:
-            zeros += count
-            count = 0
-        while count and prefix and prefix[-1] == rep:
-            prefix = prefix[:-1]
-            count += 1
-        if prefix and min(prefix) < 1:
-            raise ValueError(f"prefix entries must be positive: {prefix}")
-        if any(map(operator.lt, prefix, prefix[1:])):
-            raise ValueError(f"prefix must be weakly decreasing: {prefix}")
-        if count and prefix and prefix[-1] < rep:
-            raise ValueError("repeated value exceeds the last prefix entry")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "repeated_value", rep)
-        object.__setattr__(self, "repeat_count", count)
-        object.__setattr__(self, "zero_count", zeros)
+    def __init__(self, pairs=()):
+        pairs = tuple((v, c) for v, c in pairs)
+        if any(c < 1 for _, c in pairs):
+            raise ValueError(f"run counts must be positive: {pairs}")
+        if pairs and pairs[-1][0] < 0 or any(a[0] <= b[0] for a, b in zip(pairs, pairs[1:])):
+            raise ValueError(f"run values must strictly decrease to at least 0: {pairs}")
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _unchecked(cls, pairs: tuple) -> "CompactDegree":
+        """A degree from pairs known to be runs, without checking them.
+
+        `shift_record` checks one encoding per record and builds each shift here.
+        """
+        degree = object.__new__(cls)
+        object.__setattr__(degree, "pairs", pairs)
+        return degree
 
     @classmethod
     def from_vector(cls, degree) -> "CompactDegree":
-        degree = tuple(degree)
-        zeros = 0
-        while degree and degree[-1] == 0:
-            degree = degree[:-1]
-            zeros += 1
-        return cls(degree, 0, 0, zeros)
+        return cls(run_lengths(degree))
 
     @property
     def length(self) -> int:
-        return len(self.prefix) + self.repeat_count + self.zero_count
+        return sum(c for _, c in self.pairs)
 
     def total(self) -> int:
-        return sum(self.prefix) + self.repeated_value * self.repeat_count
+        return sum(v * c for v, c in self.pairs)
 
     def support_size(self) -> int:
-        return len(self.prefix) + self.repeat_count
+        return sum(c for v, c in self.pairs if v)
 
     def expand(self) -> tuple[int, ...]:
-        return (self.prefix
-                + (self.repeated_value,) * self.repeat_count
-                + (0,) * self.zero_count)
+        return tuple(v for v, c in self.pairs for _ in range(c))
 
     def runs(self) -> list[list[int]]:
-        """Run-length encoding [[value, count], ...] without expanding.
-
-        The constructor keeps the prefix positive and its last entry above a
-        nonempty block, so prefix, block and zeros never share a run.
-        """
-        out = run_lengths(self.prefix)
-        if self.repeat_count:
-            out.append([self.repeated_value, self.repeat_count])
-        if self.zero_count:
-            out.append([0, self.zero_count])
-        return out
+        """Run-length encoding [[value, count], ...] without expanding."""
+        return [[v, c] for v, c in self.pairs]
 
 
 class CompactRecord(FrozenValue, order=True):
@@ -143,9 +108,8 @@ class CompactRecord(FrozenValue, order=True):
 
 
 def compact_record_key(record: CompactRecord) -> tuple:
-    """The order of CompactRecord.__lt__ as one flat tuple, without a Python call per comparison."""
-    d = record.degree
-    return record.i, d.prefix, d.repeated_value, d.repeat_count, d.zero_count, record.rank
+    """The order of CompactRecord.__lt__ as one tuple, without a Python call per comparison."""
+    return record.i, record.degree.pairs, record.rank
 
 
 class SegmentSet(FrozenValue):
@@ -233,20 +197,28 @@ class AsymptoticProfile(FrozenValue):
 MATERIALIZE_LIMIT = 100_000
 
 
-def shift_record(record, k: int, zeros: int = 0) -> CompactRecord:
-    """The all-positive record (i, a) moved k steps along the stable shift, then zero padded."""
-    a = record.degree
-    return CompactRecord(record.i + k, CompactDegree(a[:-1], a[-1], 1 + k, zeros), record.rank)
+def shift_record(record, n: int, steps=(0,)) -> list[CompactRecord]:
+    """The all-positive record (i, a) moved k steps along the stable shift, for each k in steps.
+
+    The shift lengthens the last run of a by k, and zeros pad it out to n
+    variables; at k = 0 it is the zero padding alone.
+    """
+    *head, (value, count) = CompactDegree.from_vector(record.degree).pairs
+    if value < 1:
+        raise ValueError("the stable shift needs an all-positive degree")
+    head, zeros = tuple(head), n - len(record.degree)
+    out = []
+    for k in steps:
+        if not 0 <= k <= zeros:
+            raise ValueError(f"{k} steps do not fit the {zeros} zeros of level {n}")
+        # the runs of a, its last one lengthened, then zeros: runs again
+        tail = ((value, count + k), (0, zeros - k)) if k < zeros else ((value, count + k),)
+        out.append(CompactRecord(record.i + k, CompactDegree._unchecked(head + tail), record.rank))
+    return out
 
 
-def pad_record(record, n: int) -> CompactRecord:
-    """A record of a level below n, zero padded to n variables."""
-    return CompactRecord(record.i, CompactDegree(record.degree, 0, 0, n - len(record.degree)),
-                         record.rank)
-
-
-def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[CompactRecord, ...]:
-    """Push the all-positive records from the stabilization level out to n variables.
+def extrapolate_full_support(f_records, n: int) -> tuple[CompactRecord, ...]:
+    """Push the all-positive records of one level m out to n variables.
 
     Each record moves n - m steps along the stable shift, ranks unchanged.
     """
@@ -256,16 +228,10 @@ def extrapolate_full_support(f_records, n: int, m: int | None = None) -> tuple[C
     lengths = {len(r.degree) for r in records}
     if len(lengths) != 1:
         raise ValueError("records come from different levels")
-    level = lengths.pop()
-    if m is None:
-        m = level
-    elif m != level:
-        raise ValueError(f"records have length {level}, expected {m}")
+    m = lengths.pop()
     if n < m:
         raise ValueError(f"target level {n} is below the source level {m}")
-    if any(r.degree[-1] < 1 for r in records):
-        raise ValueError("extrapolation needs all-positive degrees")
-    return tuple(shift_record(r, n - m) for r in records)
+    return tuple(s for r in records for s in shift_record(r, n, (n - m,)))
 
 
 def lower_records(bs_m: BettiSet) -> list[BettiRecord]:
@@ -290,7 +256,8 @@ def compose_betti(ideal: SymmetricIdeal, n: int, bs_m: BettiSet) -> tuple[Compac
 
     The records of support below m, the all-positive records of the lower
     levels, are padded with zeros; each all-positive record is shifted
-    0..n - m steps.  Ranks are carried from the source records.
+    0..n - m steps.  Ranks are carried from the source records.  Ordered by
+    (i, degree, rank).
     """
     m = ideal.max_length
     if n < m:
@@ -301,8 +268,8 @@ def compose_betti(ideal: SymmetricIdeal, n: int, bs_m: BettiSet) -> tuple[Compac
     if total > MATERIALIZE_LIMIT:
         raise SizeCapError(f"{total} records would be materialized (cap {MATERIALIZE_LIMIT}); "
                            "use the family description instead")
-    out = [pad_record(r, n) for r in lower_records(bs_m)]
-    out += [shift_record(r, k, n - m - k) for r in bs_m.F() for k in range(n - m + 1)]
+    out = [s for r in lower_records(bs_m) for s in shift_record(r, n)]
+    out += [s for r in bs_m.F() for s in shift_record(r, n, range(n - m + 1))]
     return tuple(sorted(out, key=compact_record_key))
 
 

@@ -31,12 +31,7 @@ from symbetti.ideals import (
     orbit_size,
     restrict_to_n,
 )
-from symbetti.stability import (
-    CompactDegree,
-    SegmentSet,
-    pad_record,
-    shift_record,
-)
+from symbetti.stability import CompactDegree, CompactRecord, SegmentSet
 from symbetti.taylor import _STRAND_CAP, GENERATOR_CAP, GeneratorCapError, lyubeznik_order
 
 settings.register_profile("suite", max_examples=50, deadline=None)
@@ -262,11 +257,18 @@ def reference_lower_records(f_levels, m):
 
 
 def reference_compose_betti(ideal, n, f_levels):
-    """Reference for `compose_betti`: the lower levels padded from their own tables."""
+    """Reference for `compose_betti`: the lower levels padded from their own tables.
+
+    Each degree is built as a plain tuple, zero padded with its last entry
+    repeated k times, and only then converted.
+    """
     m = ideal.max_length
-    out = [pad_record(r, n) for r in reference_lower_records(f_levels, m)]
-    out += [shift_record(r, k, n - m - k) for r in f_levels[m].F() for k in range(n - m + 1)]
-    return tuple(sorted(out))
+    out = [(r.i, r.degree + (0,) * (n - len(r.degree)), r.rank)
+           for r in reference_lower_records(f_levels, m)]
+    out += [(r.i + k, r.degree + r.degree[-1:] * k + (0,) * (n - m - k), r.rank)
+            for r in f_levels[m].F() for k in range(n - m + 1)]
+    return tuple(sorted(CompactRecord(i, CompactDegree.from_vector(a), rank)
+                        for i, a, rank in out))
 
 
 def reference_segments(ideal, f_levels):
@@ -613,6 +615,9 @@ def reference_parser() -> argparse.ArgumentParser:
 class Reference:
     """The ten value classes as the dataclasses they replaced, kept verbatim.
 
+    CompactDegree, stored as its runs since, mirrors the package class, with
+    `encode_runs` as its codec.
+
     Nested here so that the names their bodies use (Partition inside
     SymmetricIdeal, the vertex cap, the validators) resolve to the package's
     own: a reference differs from its package class only in what the
@@ -817,74 +822,43 @@ class Reference:
 
     @dataclass(frozen=True, order=True)
     class CompactDegree:
-        """A sorted exponent vector stored as prefix + repeated block + zeros.
+        """A sorted exponent vector stored as its runs, a tuple of (value, count) pairs.
 
-        Construction folds trailing prefix entries equal to the repeated value
-        into the repeat count, a repeated value of zero into the zero count, and
-        clears the repeated value of an empty block.  It never moves prefix
-        entries into an empty block, so one vector can have several forms:
-        `from_vector((3, 2, 2, 0))` keeps (3, 2, 2) as its prefix and differs from
-        `CompactDegree((3,), 2, 2, 1)`, although both expand to (3, 2, 2, 0).
-        Compare degrees built along different paths through `expand()`.
+        Values strictly decrease and are at least 0, and counts are at least 1,
+        so every vector has one form, and degrees of one length compare as their
+        vectors do.
         """
 
-        prefix: tuple[int, ...] = ()
-        repeated_value: int = 0
-        repeat_count: int = 0
-        zero_count: int = 0
+        pairs: tuple[tuple[int, int], ...] = ()
 
         def __post_init__(self):
-            prefix = tuple(self.prefix)
-            rep, count, zeros = self.repeated_value, self.repeat_count, self.zero_count
-            if count < 0 or zeros < 0 or rep < 0:
-                raise ValueError("counts and values must be nonnegative")
-            if count == 0:
-                rep = 0
-            if rep == 0 and count:
-                zeros += count
-                count = 0
-            while count and prefix and prefix[-1] == rep:
-                prefix = prefix[:-1]
-                count += 1
-            if any(e < 1 for e in prefix):
-                raise ValueError(f"prefix entries must be positive: {prefix}")
-            if any(prefix[k] < prefix[k + 1] for k in range(len(prefix) - 1)):
-                raise ValueError(f"prefix must be weakly decreasing: {prefix}")
-            if count and prefix and prefix[-1] < rep:
-                raise ValueError("repeated value exceeds the last prefix entry")
-            object.__setattr__(self, "prefix", prefix)
-            object.__setattr__(self, "repeated_value", rep)
-            object.__setattr__(self, "repeat_count", count)
-            object.__setattr__(self, "zero_count", zeros)
+            pairs = tuple((v, c) for v, c in self.pairs)
+            if any(c < 1 for _, c in pairs):
+                raise ValueError(f"run counts must be positive: {pairs}")
+            if pairs and pairs[-1][0] < 0 or any(a[0] <= b[0] for a, b in zip(pairs, pairs[1:])):
+                raise ValueError(f"run values must strictly decrease to at least 0: {pairs}")
+            object.__setattr__(self, "pairs", pairs)
 
         @classmethod
         def from_vector(cls, degree) -> "CompactDegree":
-            degree = tuple(degree)
-            zeros = 0
-            while degree and degree[-1] == 0:
-                degree = degree[:-1]
-                zeros += 1
-            return cls(degree, 0, 0, zeros)
+            return cls(encode_runs((e, 1) for e in degree))
 
         @property
         def length(self) -> int:
-            return len(self.prefix) + self.repeat_count + self.zero_count
+            return sum(c for _, c in self.pairs)
 
         def total(self) -> int:
-            return sum(self.prefix) + self.repeated_value * self.repeat_count
+            return sum(v * c for v, c in self.pairs)
 
         def support_size(self) -> int:
-            return len(self.prefix) + self.repeat_count
+            return sum(c for v, c in self.pairs if v)
 
         def expand(self) -> tuple[int, ...]:
-            return (self.prefix
-                    + (self.repeated_value,) * self.repeat_count
-                    + (0,) * self.zero_count)
+            return tuple(v for v, c in self.pairs for _ in range(c))
 
         def runs(self) -> list[list[int]]:
             """Run-length encoding [[value, count], ...] without expanding."""
-            return encode_runs([*((v, 1) for v in self.prefix),
-                                (self.repeated_value, self.repeat_count), (0, self.zero_count)])
+            return [[v, c] for v, c in self.pairs]
 
     @dataclass(frozen=True, order=True)
     class CompactRecord:

@@ -173,18 +173,10 @@ class TestRecordPayload:
         assert ("degree" in entry) == (len(degree) <= DEGREE_LIST_LIMIT)
 
 
-def as_block(degree):
-    """The same vector as a `CompactDegree` whose repeated block is its last positive run."""
-    positive = [e for e in degree if e]
-    count = positive.count(positive[-1]) if positive else 0
-    return CompactDegree(tuple(positive[:len(positive) - count]), positive[-1] if positive else 0,
-                         count, len(degree) - len(positive))
-
-
-# stand-in records with a sorted tuple degree or a CompactDegree in block form
+# stand-in records with a sorted tuple degree or a CompactDegree
 STAND_INS = st.lists(st.builds(
     lambda degree, compact, i, rank: SimpleNamespace(
-        i=i, degree=as_block(degree) if compact else degree, rank=rank),
+        i=i, degree=CompactDegree.from_vector(degree) if compact else degree, rank=rank),
     SORTED_DEGREES, st.booleans(), st.integers(0, 5), st.integers(1, 10 ** 30)), max_size=4)
 LIST_LIMITS = st.sampled_from([1, DEGREE_LIST_LIMIT, DEGREE_LIST_LIMIT + 1])
 
@@ -837,6 +829,23 @@ def test_extrapolate_views_agree(fixture, bs):
         assert set().union(padded, *expanded) == positions
         ends = {(e["i"], tuple(e["degree"])) for e in payload["f_records"]}
         assert ends == {max(e) for e in expanded}
+
+
+@pytest.mark.parametrize("fixture", ["J", "tree4", "permutohedron4", "rp2"])
+def test_extrapolate_records_in_record_order(fixture):
+    # sorted by (i, degree, rank) as betti's records are, whichever path built each degree
+    path = str(FIXTURE_DIR / f"{fixture}.json")
+    m = parse_ideal_file(path).max_length
+    for n in (m, m + 1, m + 3):
+        code, out = run(["extrapolate", "--ideal", path, "--n", str(n), "--parallel", "1"])
+        assert code == EXIT_OK
+        keys = [(e["i"], e["degree"], e.get("rank", 0)) for e in json.loads(out)["records"]]
+        assert keys == sorted(keys), n
+        if n == m:
+            code, out = run(["betti", "--ideal", path, "--n", str(m), "--format", "json"])
+            assert code == EXIT_OK
+            assert [key[:2] for key in keys] == [(e["i"], e["degree"])
+                                                 for e in json.loads(out)["records"]]
 
 
 def test_compare_outputs_covers_every_command(tmp_path):

@@ -51,39 +51,81 @@ def positions(records):
             for r in records}
 
 
+# sorted vectors of one length
+SORTED_VECTORS = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 4), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True))), min_size=1, max_size=4))
+
+
+def are_runs(pairs):
+    """Whether pairs are the runs of a sorted vector, read off the definition."""
+    values = [v for v, _ in pairs]
+    return (all(c >= 1 for _, c in pairs) and all(v >= 0 for v in values)
+            and all(a > b for a, b in zip(values, values[1:])))
+
+
 class TestCompactDegree:
     def test_expand(self):
-        d = CompactDegree((5,), 2, 3, 1)
+        d = CompactDegree(((5, 1), (2, 3), (0, 1)))
         assert d.expand() == (5, 2, 2, 2, 0)
         assert d.total() == 11 and d.support_size() == 4 and d.length == 5
 
-    def test_canonical_folding(self):
-        assert CompactDegree((5, 2), 2, 2, 0) == CompactDegree((5,), 2, 3, 0)
-        assert CompactDegree((3,), 0, 4, 1) == CompactDegree((3,), 0, 0, 5)
-
     def test_runs(self):
-        assert CompactDegree((5, 5, 1), 1, 2, 3).runs() == [[5, 2], [1, 3], [0, 3]]
+        assert CompactDegree([[5, 2], [1, 3], [0, 3]]).runs() == [[5, 2], [1, 3], [0, 3]]
 
-    @example(CompactDegree.from_vector((3, 2, 2, 0)))
-    @example(CompactDegree((3,), 2, 2, 1))
-    @example(CompactDegree((), 0, 0, 0))
-    @given(st.one_of(
-        st.tuples(st.lists(st.integers(1, 4), max_size=4), st.integers(0, 4),
-                  st.integers(0, 3), st.integers(0, 3)).map(
-            lambda args: CompactDegree(sorted(args[0], reverse=True),
-                                       min(args[0] + [args[1]]), *args[2:])),
-        st.lists(st.integers(0, 4), max_size=6).map(
-            lambda v: CompactDegree.from_vector(sorted(v, reverse=True)))))
-    def test_runs_match_the_reference_codec(self, d):
-        merged = encode_runs([*((v, 1) for v in d.prefix),
-                              (d.repeated_value, d.repeat_count), (0, d.zero_count)])
-        assert d.runs() == merged == encode_runs((e, 1) for e in d.expand())
+    @example((3, 2, 2, 0))
+    @example(())
+    @given(st.lists(st.integers(0, 4), max_size=6).map(lambda v: tuple(sorted(v, reverse=True))))
+    def test_runs_match_the_reference_codec(self, v):
+        d = CompactDegree.from_vector(v)
+        assert d.expand() == v and CompactDegree.from_vector(d.expand()) == d
+        assert d.runs() == encode_runs((e, 1) for e in v)
+        assert CompactDegree(d.runs()) == d
+
+    @example([(), ()])
+    @example([(3, 2, 2, 0), (3, 3, 0, 0), (3, 2, 1, 1)])
+    @given(SORTED_VECTORS)
+    def test_one_form_per_vector(self, vectors):
+        degrees = [CompactDegree.from_vector(v) for v in vectors]
+        for (v, d), (w, e) in itertools.product(zip(vectors, degrees), repeat=2):
+            assert (d == e) is (v == w)
+            assert (d < e) is (v < w)
+
+    @example([(2, 1), (2, 1)])  # equal adjacent values
+    @example([(1, 1), (2, 1)])  # increasing values
+    @example([(2, 0)])
+    @example([(2, -1)])
+    @example([(2, 1), (-1, 1)])
+    @given(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 3)), max_size=4))
+    def test_refuses_all_but_runs(self, pairs):
+        if are_runs(pairs):
+            assert CompactDegree(pairs).pairs == tuple(pairs)
+        else:
+            with pytest.raises(ValueError):
+                CompactDegree(pairs)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            CompactDegree((2, 5), 0, 0, 0)
+            CompactDegree.from_vector((2, 5))
+
+
+class TestShiftRecord:
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 4))
+    def test_matches_the_plain_tuple_shift(self, entries, zeros):
+        a = tuple(sorted(entries, reverse=True))
+        record, n = BettiRecord(0, a, 2), len(a) + zeros
+        shifts = shift_record(record, n, range(zeros + 1))
+        assert shifts == [
+            CompactRecord(k, CompactDegree.from_vector(a + a[-1:] * k + (0,) * (zeros - k)), 2)
+            for k in range(zeros + 1)]
+        # k = 0 is the zero padding alone
+        assert shift_record(record, n) == shifts[:1]
+
+    @pytest.mark.parametrize("degree, n, steps", [((2, 0), 3, (0,)), ((2,), 3, (3,)),
+                                                  ((2,), 3, (-1,)), ((2,), 0, (0,))])
+    def test_refuses(self, degree, n, steps):
         with pytest.raises(ValueError):
-            CompactDegree((2,), 5, 1, 0)
+            shift_record(BettiRecord(0, degree, 1), n, steps)
 
 
 class TestExtrapolate:
@@ -100,6 +142,12 @@ class TestExtrapolate:
     def test_rejects_below_source_level(self, ideal_j, bs):
         with pytest.raises(ValueError):
             extrapolate_full_support(bs(ideal_j, 2).F(), 1)
+
+    @pytest.mark.parametrize("records", [[BettiRecord(0, (2, 1), 1), BettiRecord(0, (2,), 1)],
+                                         [BettiRecord(0, (2, 0), 1)]])
+    def test_rejects_mixed_levels_and_zero_entries(self, records):
+        with pytest.raises(ValueError):
+            extrapolate_full_support(records, 4)
 
     def test_large_level_runs_fast(self, ideal_j, bs):
         out = extrapolate_full_support(bs(ideal_j, 2).F(), 10 ** 6)
@@ -394,8 +442,8 @@ def assert_key_sorts_match_lt(ideal, levels):
         assert list(composed) == sorted(composed)
         shuffled = random.Random(n).sample(composed, len(composed))
         assert sorted(shuffled, key=compact_record_key) == sorted(shuffled)
-        assert (extrapolate_full_support(top, n, m)
-                == tuple(shift_record(r, n - m) for r in sorted(top)))
+        assert (extrapolate_full_support(top, n)
+                == tuple(s for r in sorted(top) for s in shift_record(r, n, (n - m,))))
 
 
 class TestKeySorts:

@@ -72,20 +72,15 @@ def valid_records(draw):
 
 record_sets = st.tuples(st.integers(1, 6), st.frozensets(valid_records(), max_size=4))
 
+# runs: distinct values, largest first, each with a count of at least 1
+valid_runs = st.sets(st.integers(0, 5), max_size=4).flatmap(lambda values: st.tuples(
+    *(st.tuples(st.just(v), st.integers(1, 3)) for v in sorted(values, reverse=True))))
+any_runs = st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 3)), max_size=4)
 compact_degrees = st.tuples(
-    st.one_of(weakly_decreasing, st.lists(st.integers(-1, 4), max_size=4)),
-    st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 3),
+    st.one_of(valid_runs, valid_runs.map(lambda runs: [list(run) for run in runs]), any_runs),
 ).flatmap(lambda args: _arities(args, 0))
 
-
-@st.composite
-def valid_compact_degrees(draw):
-    prefix = draw(st.just(()) | weakly_decreasing)
-    value = draw(st.integers(0, prefix[-1] if prefix else 3))
-    return CompactDegree(prefix, value, draw(st.integers(0, 3)), draw(st.integers(0, 2)))
-
-
-compact_records = st.tuples(st.integers(0, 3), valid_compact_degrees(), st.integers(1, 3))
+compact_records = st.tuples(st.integers(0, 3), valid_runs.map(CompactDegree), st.integers(1, 3))
 
 cells = st.frozensets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)
 segment_sets = st.tuples(cells, st.integers(1, 4),
