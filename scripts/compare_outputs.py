@@ -18,6 +18,11 @@ five antichains written to a temporary directory: [[3]] (m = 1), [[2, 1]],
 --n 6`, `segments --format json`, `asymptotics`, `extrapolate --n m + 2` and
 `verify --max-n m + 2`;
 
+the permutohedron ideals P_8, P_10 and P_12, generated by the orbit of
+(k, k - 1, ..., 1) and written to the same directory, each with
+`asymptotics` and `segments --format json`, and P_8 and P_10 with
+`betti --format json --n k`, where the walk's cone cut drops the most heads;
+
 the benchmark's own command lines, verbatim: the three `fixtures` lines
 (`betti --n 11 --parallel 1` on tree4, `betti --n 9 --parallel 1` on rp2,
 `verify --max-n 5` on rp2) and `betti --n 11 --parallel 2 --format json` on
@@ -51,6 +56,9 @@ ANTICHAINS = (
     ([[3, 1, 1], [2, 2]], 2),
     ([[4, 2], [3, 3, 1]], 3),
 )
+# k of the permutohedron ideals P_k, and the k whose level k goes through `betti`
+PERMUTOHEDRA = (8, 10, 12)
+PERMUTOHEDRA_BETTI = (8, 10)
 
 
 def command_lines(scratch: str) -> list[list[str]]:
@@ -88,6 +96,13 @@ def command_lines(scratch: str) -> list[list[str]]:
         ]
         if characteristic:  # as the benchmark runs its seed-drawn ideals over F_2 and F_3
             lines.append(["betti", *ideal, "--n", "11", "--parallel", "2", "--format", "json"])
+    for k in PERMUTOHEDRA:
+        path = os.path.join(scratch, f"permutohedron{k}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"generators": [list(range(k, 0, -1))]}, fh)
+        lines += [["asymptotics", "--ideal", path], ["segments", "--ideal", path, "--format", "json"]]
+        if k in PERMUTOHEDRA_BETTI:
+            lines.append(["betti", "--ideal", path, "--format", "json", "--n", str(k)])
     lines += [
         ["betti", "--ideal", "ideals/tree4.json", "--n", "11", "--parallel", "1"],
         ["betti", "--ideal", "ideals/rp2.json", "--n", "9", "--parallel", "1"],

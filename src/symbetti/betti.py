@@ -15,8 +15,8 @@ Box rule.  Lowering entries of block j changes only the number of entries
 >= v_j, so a generator g divides some permutation of x^a / x^F exactly when
 c_j <= u_{g,j} = min(s_j, s_1 + ... + s_j - #{parts of g >= v_j}) for every j,
 provided g divides some permutation of x^a itself (dominance).  P is the
-union of the boxes [0, u_g] over the generators that dominate a (`_boxes`,
-from each generator's counts #{parts >= v}; `profile_boxes` for one degree).
+union of the boxes [0, u_g] over the generators that dominate a
+(`profile_boxes` for one degree; `head_boxes` along the walk of heads).
 
 Formula.  Over every field,
 
@@ -48,11 +48,23 @@ depends on s_r only through the weight C(s_r - 1, e) and the homological
 degree.  `family_terms` runs the loop once per head and returns terms
 (i0, e, coef); each member's rank in degree i0 + s_r is the sum of
 coef * C(s_r - 1, e).  A degree of support below m is a family of one: its
-own terms, evaluated at its own last block.  One walk finds the heads
-(`ideals.candidate_heads`) and holds, at each, its blocks and the generators
-that dominate it; `betti_set` ranks each head there, from those generators
-alone, and builds a degree's tuple only when the head has terms.
+own terms, evaluated at its own last block.
+
+Walk.  `head_boxes` finds the heads depth first, as `ideals.candidate_heads`
+does, and carries each live generator's box coordinates on the closed
+blocks: u_{g,j} is computed once, when block j closes, and only the last
+coordinate at a head.  When a block closes with every live generator's
+coordinate full, u_{g,j} = s_j, the head and its whole subtree are cut: no
+h_j < s_j is a box value there, so every degree below is acyclic over every
+field (K^a is a cone).  `candidate_heads` stays the unpruned walk, so that
+`verify` confirms zero at the cut degrees.  `betti_set` ranks each head the
+walk yields and builds a degree's tuple only when the head has terms;
 `betti_at_degree` ranks a single degree from its own `profile_boxes`.
+
+Nerve.  D_h is the union of the simplices on its facets, so by the nerve
+theorem it has the reduced homology of the nerve of its maximal facets over
+every field; `_complex_homology` ranks whichever of the two has fewer
+vertices, so no D_h meets the vertex cap, which bounds only K^a.
 """
 
 from __future__ import annotations
@@ -75,7 +87,6 @@ from .ideals import (
     SymmetricIdeal,
     ZeroIdealError,
     _as_parts,
-    candidate_heads,
     contains_monomial,
     dominates,
     restrict_to_n,
@@ -207,24 +218,6 @@ def bitmask_betti_dims(gens, characteristic, a) -> dict[int, int]:
     return {i + 1: d for i, d in reduced_homology_dims(cx, characteristic).items()}
 
 
-def _ge_row(parts, values) -> dict[int, int]:
-    """#{parts >= v} for each v of `values`, which must hold every block value read."""
-    return {v: sum(1 for p in parts if p >= v) for v in values}
-
-
-def _boxes(blocks, rows) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Block sizes, and the boxes u_{g,j} = min(s_j, s_1 + ... + s_j - ge_g[v_j]).
-
-    `blocks` are the (v_j, s_j) of a sorted degree; `rows` hold the
-    `_ge_row` of each generator that dominates it, and of no other.
-    """
-    values = [v for v, _ in blocks]
-    sizes = [s for _, s in blocks]
-    totals = list(itertools.accumulate(sizes))
-    return sizes, sorted({tuple(map(min, sizes, map(operator.sub, totals, map(ge.__getitem__, values))))
-                          for ge in rows})
-
-
 def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """Block sizes of the sorted degree a, and the boxes whose union is P.
 
@@ -233,18 +226,40 @@ def profile_boxes(gens, a) -> tuple[list[int], list[tuple[int, ...]]]:
     """
     a = sorted(a, reverse=True)
     blocks = [run for run in run_lengths(a) if run[0] > 0]
-    return _boxes(blocks, [_ge_row(parts, set(a)) for parts in map(_as_parts, gens)
-                           if dominates(a, parts)])
+    sizes = [s for _, s in blocks]
+    totals = list(itertools.accumulate(sizes))
+    return sizes, sorted({
+        tuple(min(s, total - sum(1 for p in parts if p >= v))
+              for (v, s), total in zip(blocks, totals))
+        for parts in map(_as_parts, gens) if dominates(a, parts)})
 
 
 @functools.lru_cache(maxsize=1024)
 def _complex_homology(r: int, facets: frozenset[int], characteristic: int) -> dict[int, int]:
     """Reduced homology of the complex on r vertices generated by `facets`.
 
+    The complex is the union of the simplices on its maximal facets, and
+    every nonempty intersection of simplices is a simplex, so by the nerve
+    theorem it is homotopy equivalent to the nerve of those facets: one
+    vertex per maximal facet, and a face for each set of them with a common
+    vertex.  Their reduced homology agrees over every field, so the nerve is
+    ranked whenever it has fewer vertices than r, and always above the
+    vertex cap.  No facet is the void complex, with no homology; the empty
+    facet alone is the complex whose one face is empty, and so is its nerve,
+    as the empty facet shares no vertex even with itself.
+
     The same few D_h recur at every degree and every level (63 distinct
     ones for rp2 at n = 9 and at n = 40), so they are ranked once per
     process.  Callers must not mutate the result.
     """
+    if not facets:
+        return {}
+    top = sorted(f for f in facets if not any(f != g and f & g == f for g in facets))
+    if len(top) < r or r > VERTEX_CAP:
+        # the nerve's maximal faces: for each vertex, the facets that hold it
+        masks = {sum(1 << k for k, f in enumerate(top) if f >> v & 1) for v in range(r)}
+        return chain_homology(faces_by_dim(SimplicialComplex.from_masks(len(top), masks)),
+                              characteristic)
     return chain_homology(faces_by_dim(SimplicialComplex.from_masks(r, facets)), characteristic)
 
 
@@ -317,24 +332,83 @@ def _ranks_at(terms, s: int) -> dict[int, int]:
     return dims
 
 
+def head_boxes(gens, n: int) -> list[tuple]:
+    """The heads that can carry a rank at level n, as (head, sizes, boxes, tails) in walk order.
+
+    `gens` are the level-n generators (`restrict_to_n`).  This is the walk
+    of `ideals.candidate_heads`, which proves its two prunes, with each
+    head's block sizes and boxes (`profile_boxes`) found on the way, and a
+    third prune, the cone cut, that only a ranking may make.
+
+    Each generator alive in `fit` carries its box coordinates on the closed
+    blocks.  Appending a part below the head's last entry v closes the last
+    block (v, s): from then on s and the positions up to it, S = len(head),
+    are fixed, so u_g = min(s, S - ge_g[v]) is computed there, once for all
+    the siblings that close it.  A head's boxes are those carried coordinates
+    of the generators that dominate it, with its last coordinate appended.
+
+    Cone cut: when a block closes with u_g = s for every g in `fit`, the new
+    head and its whole subtree are dropped.  Every generator that dominates
+    an extension is in `fit`, and the closed block is not the extension's
+    last, so its box coordinate there is s and `family_terms` finds no h:
+    K^a is a cone over every field.  Every generator, not some, must be
+    full: one short of it leaves h below s.  As `fit` only shrinks as the
+    appended part falls, the cut also holds for the remaining siblings.
+    """
+    if not gens:
+        return []
+    parts = sorted({p for g in gens for p in g.parts}, reverse=True)
+    m = max(g.length for g in gens)
+    # each generator zero padded to m + 1 parts, its counts ge_g[parts[j]] =
+    # #{parts of g >= parts[j]}, and its coordinates on the closed blocks
+    alive = [(g.parts + (0,) * (m + 1 - g.length),
+              [sum(1 for x in g.parts if x >= v) for v in parts], ()) for g in gens]
+    out = []
+
+    def walk(head, sizes, start, fit, below):
+        t = len(head)
+        for j in range(start, len(parts)):
+            p = parts[j]
+            closes = t and j > start  # p < head[-1] closes the last block (parts[start], s)
+            if closes and j == start + 1:
+                # once, for this sibling and the rest
+                s = sizes[-1]
+                fit = [(g, ge, box + (min(s, t - ge[start]),)) for g, ge, box in fit]
+            fit = [entry for entry in fit if entry[0][t] <= p]
+            if not fit:
+                break
+            if closes and all(box[-1] == s for _, _, box in fit):
+                break  # the cone cut
+            below = [g for g in below if g[t] < p]
+            if any(not g[t + 1] for g in below):
+                continue
+            longer = head + (p,)
+            grown = sizes[:-1] + [sizes[-1] + 1] if t and j == start else sizes + [1]
+            last = grown[-1]
+            boxes = {box + (min(last, t + 1 - ge[j]),) for g, ge, box in fit if not g[t + 1]}
+            if boxes:
+                out.append((longer, grown, sorted(boxes),
+                            range(t + 1, n + 1) if t + 1 == m else (t + 1,)))
+            if t + 1 < m:
+                walk(longer, grown, j, fit, below)
+
+    walk((), [], 0, alive, [g for g, _, _ in alive])
+    return out
+
+
 def betti_set(ideal: SymmetricIdeal, n: int) -> BettiSet:
     """All nonzero multigraded Betti numbers of the level-n ideal.
 
     Only sorted degree representatives are stored.  Each head of
-    `candidate_heads` is ranked from the blocks and the dominating
-    generators the walk found it with, and its terms are evaluated at each
-    of its degrees; a degree's tuple is built only when it has a rank.  The
-    work runs in this process: a process pool's start-up cost more than it
-    saved at every size measured (README, "Flags").
+    `head_boxes` is ranked from the sizes and boxes the walk found it with,
+    and its terms are evaluated at each of its degrees; a degree's tuple is
+    built only when it has a rank.  The work runs in this process: a process
+    pool's start-up cost more than it saved at every size measured (README,
+    "Flags").
     """
-    gens = restrict_to_n(ideal, n)
     p = ideal.characteristic
-    values = {part for g in gens for part in g.parts}  # a head's block values
-    rows: dict[tuple[int, ...], dict[int, int]] = {}  # `_ge_row` per generator, padded as the walk gives it
     records = []
-    for head, blocks, dividing, tails in candidate_heads(gens, n):
-        sizes, boxes = _boxes(blocks, [rows.get(g) or rows.setdefault(g, _ge_row(g, values))
-                                       for g in dividing])
+    for head, sizes, boxes, tails in head_boxes(restrict_to_n(ideal, n), n):
         terms = family_terms(sizes, boxes, p)
         if not terms:
             continue

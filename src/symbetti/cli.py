@@ -119,6 +119,28 @@ class RecordRows:
         return texts
 
 
+class TableRows:
+    """The graded table in a payload, which `format_json` writes without a dict per cell.
+
+    ``table`` maps each cell (i, j) to its Betti number; each entry is the
+    text of ``{"beta": beta, "i": i, "j": j}``, in the order of the cells.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: dict[tuple[int, int], int]):
+        self.table = table
+
+    def format(self, indent: str) -> str:
+        if not self.table:
+            return "[]"
+        inner, item = indent + "  ", indent + "    "
+        entry = "{" + item + '"beta": %d,' + item + '"i": %d,' + item + '"j": %d' + inner + "}"
+        table = self.table
+        cells = [entry % (table[cell], *cell) for cell in sorted(table)]
+        return f"[{inner}{(',' + inner).join(cells)}{indent}]"
+
+
 def segment_set_payload(seg: SegmentSet) -> dict:
     return {
         "base": [list(p) for p in sorted(seg.base)],
@@ -184,14 +206,15 @@ def format_json(value, indent: str = "\n") -> str:
     strings come from the C ``encode_basestring_ascii``, and a list of plain
     ints is one join (bool is excluded by the exact type test: its JSON is
     ``true``/``false``).  Takes what the commands emit: dict with str keys,
-    list, tuple, str, int, bool, None and `RecordRows`, by exact type; any
-    other value, float and subclasses included, raises TypeError.  ``indent``
-    is the newline and indentation that precede the value's closing bracket.
+    list, tuple, str, int, bool, None, `RecordRows` and `TableRows`, by
+    exact type; any other value, float and subclasses included, raises
+    TypeError.  ``indent`` is the newline and indentation that precede the
+    value's closing bracket.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
-    if kind is RecordRows:
+    if kind is RecordRows or kind is TableRows:
         return value.format(indent)
     inner = indent + "  "
     if kind is list or kind is tuple:
@@ -230,8 +253,7 @@ def _cmd_betti(ideal: SymmetricIdeal, args, out) -> int:
         records = bs.sorted_records()
         rows = RecordRows(records, bs.n)
         full = [k for k, r in enumerate(records) if r.degree[-1] >= 1]  # positive everywhere
-        cells = [{"i": i, "j": j, "beta": table[(i, j)]} for (i, j) in sorted(table)]
-        print(format_json({"n": bs.n, "records": rows, "table": cells,
+        print(format_json({"n": bs.n, "records": rows, "table": TableRows(table),
                            "full_support": rows.subset(full)}), file=out)
         return EXIT_OK
     print(render_graded_table(table), file=out)

@@ -1,6 +1,7 @@
 """Exact reduced simplicial homology over the rationals and prime fields.
 
-Complexes store their faces as bitmasks, on at most VERTEX_CAP vertices.
+Complexes store their faces as bitmasks, on at most VERTEX_CAP vertices; the
+cap bounds `verify`'s K^a, as `betti` ranks a larger D_h through its nerve.
 A graded basis (degree -> sorted bitmasks) defines a chain complex through
 one boundary builder, which emits sparse columns ({row: +-1} dicts; a
 column has at most d + 1 nonzeros), and one homology routine ranks them

@@ -228,7 +228,7 @@ def orbit_size(a: Sequence[int], n: int | None = None) -> int:
 
 
 def candidate_heads(gens, n: int) -> list[tuple]:
-    """The heads of the level-n candidates, as (head, blocks, dividing, tails) in walk order.
+    """The heads of the level-n candidates, as (head, tails) in walk order.
 
     `gens` are the level-n generators (`restrict_to_n`).  The repeated-tail
     shape forced by symmetry is generated, not filtered for: with m the
@@ -240,10 +240,11 @@ def candidate_heads(gens, n: int) -> list[tuple]:
     such degrees are always acyclic).  From t = m on both tests read only
     the head, as no generator is longer than m, so each head kept at t = m
     heads one degree per support t = m..n and the count grows linearly in n.
+    `tails` are the supports of a head's degrees.
 
-    For each kept head the walk records its blocks ((v_1, s_1), ..., (v_r,
-    s_r)) of equal entries, the generators that dominate it as part tuples
-    zero padded to m + 1 entries, and `tails`, the supports of its degrees.
+    This is the unpruned walk behind `candidate_degrees`, which `verify`
+    checks against its oracle and K^a; `betti.head_boxes` walks the same
+    tree with a third prune, the cone cut, which only a ranking may make.
 
     The heads are walked depth first, one part appended at a time, over the
     generators still alive: `fit`, those whose first len(head) parts are at
@@ -272,7 +273,7 @@ def candidate_heads(gens, n: int) -> list[tuple]:
     padded = [g.parts + (0,) * (m + 1 - g.length) for g in gens]
     out = []
 
-    def walk(head, blocks, start, fit, below):
+    def walk(head, start, fit, below):
         t = len(head)
         for j in range(start, len(parts)):
             p = parts[j]
@@ -285,16 +286,12 @@ def candidate_heads(gens, n: int) -> list[tuple]:
             if any(not g[t + 1] for g in below):
                 continue
             longer = head + (p,)
-            grown = (blocks[:-1] + ((p, blocks[-1][1] + 1),) if j == start and head
-                     else blocks + ((p, 1),))
-            dividing = [g for g in fit if not g[t + 1]]
-            if dividing:
-                out.append((longer, grown, dividing,
-                            range(t + 1, n + 1) if t + 1 == m else (t + 1,)))
+            if any(not g[t + 1] for g in fit):
+                out.append((longer, range(t + 1, n + 1) if t + 1 == m else (t + 1,)))
             if t + 1 < m:
-                walk(longer, grown, j, fit, below)
+                walk(longer, j, fit, below)
 
-    walk((), (), 0, padded, padded)
+    walk((), 0, padded, padded)
     return out
 
 
@@ -305,6 +302,6 @@ def candidate_degrees(ideal: SymmetricIdeal, n: int) -> list[tuple[int, ...]]:
     of its supports, then zeros.
     """
     out = [head + head[-1:] * (u - len(head)) + (0,) * (n - u)
-           for head, _, _, tails in candidate_heads(restrict_to_n(ideal, n), n)
+           for head, tails in candidate_heads(restrict_to_n(ideal, n), n)
            for u in tails]
     return sorted(out, reverse=True)

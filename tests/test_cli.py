@@ -37,6 +37,7 @@ from symbetti.cli import (
     EXIT_VERIFY,
     COMMANDS,
     RecordRows,
+    TableRows,
     format_json,
     main,
     parse_args,
@@ -224,6 +225,19 @@ class TestRecordWriter:
             for ranks in (True, False):
                 assert (format_json(RecordRows(records, n, ranks))
                         == reference_json_text(reference_rows(records, n, ranks)))
+
+
+class TestTableWriter:
+    @given(st.dictionaries(st.tuples(st.integers(0, 9), st.integers(-3, 40)),
+                           st.integers(1, 10 ** 30), max_size=8))
+    @example({})
+    def test_matches_the_dict_route(self, table):
+        # the cells `betti --format json` wrote as dicts, at three depths
+        cells = [{"i": i, "j": j, "beta": table[(i, j)]} for (i, j) in sorted(table)]
+        rows = TableRows(table)
+        assert format_json(rows) == reference_json_text(cells)
+        assert format_json({"n": 3, "table": rows}) == reference_json_text({"n": 3, "table": cells})
+        assert format_json([{"x": [rows]}]) == reference_json_text([{"x": [cells]}])
 
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "ideals"

@@ -4,8 +4,10 @@ The face walk that builds that complex is itself compared with the walk over
 every subset of the support.
 """
 
+import inspect
 import itertools
 import operator
+import textwrap
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -25,10 +27,12 @@ from symbetti.betti import (
     betti_at_degree,
     bitmask_betti_dims,
     family_terms,
+    head_boxes,
     profile_boxes,
     upper_koszul_complex,
 )
-from symbetti.homology import SimplicialComplex, reduced_homology_dims
+from symbetti.homology import VERTEX_CAP, SimplicialComplex, reduced_homology_dims
+from symbetti.ideals import candidate_heads
 
 from conftest import (
     J_PARTS,
@@ -309,6 +313,63 @@ def test_rp2_ranks_63_distinct_complexes(ideal_rp2, n):
     assert _complex_homology.cache_info().misses == 63
 
 
+# the 6-vertex triangulation of the real projective plane
+RP2_FACETS = frozenset(sum(1 << v for v in face) for face in [
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)])
+
+
+@st.composite
+def facet_sets(draw):
+    """A vertex count r <= 9 and at most 7 facets on it, the empty one and repeats allowed."""
+    r = draw(st.integers(0, 9))
+    return r, draw(st.frozensets(st.integers(0, (1 << r) - 1), max_size=7))
+
+
+@given(facet_sets(), st.sampled_from([0, 2, 3]))
+def test_nerve_matches_direct_homology(drawn, characteristic):
+    # vertices past r lie in no facet, so on VERTEX_CAP + 1 of them the
+    # complex is the same and only its nerve is ranked
+    r, facets = drawn
+    direct = reduced_homology_dims(SimplicialComplex.from_masks(r, facets), characteristic)
+    assert _complex_homology(VERTEX_CAP + 1, facets, characteristic) == direct
+    assert _complex_homology(r, facets, characteristic) == direct
+
+
+@pytest.mark.parametrize("r", [0, 1, 3, VERTEX_CAP + 1])
+def test_nerve_edge_cases(r):
+    for characteristic in (0, 2):
+        assert _complex_homology(r, frozenset(), characteristic) == {}  # void
+        assert _complex_homology(r, frozenset({0}), characteristic) == {-1: 1}
+
+
+def test_nerve_of_rp2():
+    for r in (6, VERTEX_CAP + 1):
+        assert _complex_homology(r, RP2_FACETS, 2) == {1: 1, 2: 1}
+        assert _complex_homology(r, RP2_FACETS, 0) == {}
+
+
+# heads the cone cut keeps at level m, and the unpruned walk's heads
+HEAD_COUNTS = {
+    "J": (J_PARTS, 3, 3),
+    "tree4": (TREE4_PARTS, 20, 28),
+    "permutohedron4": (PERM4_PARTS, 12, 14),
+    "rp2": (RP2_PARTS, 206, 265),
+    "P_12": ([tuple(range(12, 0, -1))], 4084, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEAD_COUNTS))
+def test_cone_cut_head_counts(name):
+    parts, cut, unpruned = HEAD_COUNTS[name]
+    ideal = SymmetricIdeal.from_parts(parts)
+    m = ideal.max_length
+    gens = restrict_to_n(ideal, m)
+    assert len(head_boxes(gens, m)) == cut
+    if unpruned is not None:
+        assert len(candidate_heads(gens, m)) == unpruned
+
+
 def divides_some_permutation(parts, a):
     """Brute force: some permutation of the zero-padded parts is at most a everywhere."""
     if len(parts) > len(a):
@@ -422,18 +483,26 @@ def test_walk_ranking_matches_reference_on_random_levels(ideal, n, characteristi
 
 def test_walk_ranking_mutants_differ_from_reference(ideal_rp2, monkeypatch):
     expected = reference_betti_set(ideal_rp2, 9)
-    real_heads, real_ranks = betti_module.candidate_heads, betti_module._ranks_at
+    real_heads, real_ranks = betti_module.head_boxes, betti_module._ranks_at
 
     def drop_dividing(gens, n):
-        # the walk loses one of several generators that dominate a head
-        return [(head, blocks, dividing[1:] if len(dividing) > 1 else dividing, tails)
-                for head, blocks, dividing, tails in real_heads(gens, n)]
+        # the walk loses one generator's box at a head that has several
+        return [(head, sizes, boxes[1:] if len(boxes) > 1 else boxes, tails)
+                for head, sizes, boxes, tails in real_heads(gens, n)]
 
     def wrong_block(terms, s):
         # the weights of a last block one longer, in the degrees of s
         return {i - 1: rank for i, rank in real_ranks(terms, s + 1).items()}
 
-    for name, mutant in [("candidate_heads", drop_dividing), ("_ranks_at", wrong_block)]:
+    # the cone cut when some live generator is full on the closed block, not every one
+    source = textwrap.dedent(inspect.getsource(real_heads))
+    cut = "all(box[-1] == s for _, _, box in fit)"
+    assert source.count(cut) == 1
+    namespace = dict(vars(betti_module))
+    exec(source.replace(cut, "any(box[-1] == s for _, _, box in fit)"), namespace)
+
+    for name, mutant in [("head_boxes", drop_dividing), ("_ranks_at", wrong_block),
+                         ("head_boxes", namespace["head_boxes"])]:
         with monkeypatch.context() as mp:
             mp.setattr(betti_module, name, mutant)
             assert betti_set(ideal_rp2, 9) != expected, name
